@@ -31,8 +31,8 @@ from typing import Optional
 import numpy as np
 
 from .channel import SchedulerConfig, scheduler_stats
-from .mare import MareProblem, analyze
-from .model import LinearSystem, validate
+from .mare import DEFAULT_TRACE_CEILING, MareProblem, analyze
+from .model import LinearSystem, is_diagonal, validate
 from .sim import monte_carlo, summary_json_dict, write_summary_csv
 from .stats import threshold_for_rate
 
@@ -59,7 +59,7 @@ class ExperimentConfig:
         "mare_iterate": True, "necessary": True, "sufficient": True})
     out_dir: Path = Path("results")
     write_matrices_json: bool = True
-    trace_ceiling: float = 1e12
+    trace_ceiling: float = DEFAULT_TRACE_CEILING
 
     def info_rates(self) -> np.ndarray:
         return np.array([s.info_rate for s in scheduler_stats(self.scheduler)])
@@ -123,6 +123,10 @@ def parse_config(data: dict) -> ExperimentConfig:
         raise ConfigError(f"config missing key: {exc}") from exc
     except ValueError as exc:
         raise ConfigError(f"invalid system: {exc}") from exc
+    # The sequential filter runs on diag(R) only; reject before any compute.
+    if not is_diagonal(system.R):
+        raise ConfigError("invalid system: R must be diagonal; "
+                          "whiten the system first")
 
     sched_data = data.get("scheduler")
     if not isinstance(sched_data, dict):
@@ -152,7 +156,7 @@ def parse_config(data: dict) -> ExperimentConfig:
     output = data.get("output", {})
     out_dir = Path(output.get("dir", "results"))
     matrices = bool(output.get("matrices_json", True))
-    ceiling = float(data.get("trace_ceiling", 1e12))
+    ceiling = float(data.get("trace_ceiling", DEFAULT_TRACE_CEILING))
     return ExperimentConfig(system=system, scheduler=scheduler, horizon=horizon,
                             trials=trials, master_seed=master_seed,
                             analysis=analysis, out_dir=out_dir,

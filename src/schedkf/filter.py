@@ -123,8 +123,7 @@ def update_component(state: FilterState, sys: LinearSystem, slot: SlotUpdate,
         x = x + gain * (slot.value - float(c @ x))
 
     t = 1.0 if delivered else stats_i.drop_shrink
-    P = state.P - t * np.outer(gain, Pc)
-    P = psd_floor(sym(P))
+    P = psd_floor(state.P - t * np.outer(gain, Pc))
     return FilterState(x=x, P=P, k=state.k)
 
 

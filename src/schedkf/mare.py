@@ -30,7 +30,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ._linalg import min_eig, sym
-from .model import LinearSystem
+from .model import LinearSystem, is_diagonal
 
 __all__ = [
     "MareProblem", "FixedPointResult", "NecessaryCheck", "Certificate",
@@ -62,9 +62,7 @@ class MareProblem:
             )
         if np.any(rates < 0.0) or np.any(rates > 1.0):
             raise ValueError("info rates must lie in [0, 1]")
-        R = self.system.R
-        off = R - np.diag(np.diag(R))
-        if np.max(np.abs(off), initial=0.0) > 1e-12 * (1.0 + np.max(np.abs(R))):
+        if not is_diagonal(self.system.R):
             raise ValueError("R must be diagonal; whiten the system first")
         rates.setflags(write=False)
         object.__setattr__(self, "info_rates", rates)

@@ -47,6 +47,17 @@ def _check_spd(M: np.ndarray, name: str, *, allow_semidefinite: bool) -> None:
         )
 
 
+def is_diagonal(M: np.ndarray) -> bool:
+    """Off-diagonal entries vanish up to 1e-12 * (1 + max |M|).
+
+    The sequential filter and the Riccati operator need a diagonal R;
+    this is the one tolerance every caller applies.
+    """
+    off = M - np.diag(np.diag(M))
+    return bool(np.max(np.abs(off), initial=0.0)
+                <= 1e-12 * (1.0 + np.max(np.abs(M))))
+
+
 @dataclass(frozen=True)
 class LinearSystem:
     """Plant matrices plus the initial-state prior.
@@ -192,8 +203,7 @@ def validate(sys: LinearSystem) -> ValidationReport:
     if not observable:
         messages.append("(C, A) is not observable")
 
-    off = sys.R - np.diag(np.diag(sys.R))
-    r_diagonal = bool(np.max(np.abs(off), initial=0.0) <= 1e-12 * (1.0 + np.max(np.abs(sys.R))))
+    r_diagonal = is_diagonal(sys.R)
     if not r_diagonal:
         messages.append("R is not diagonal; whiten the system before filtering")
 

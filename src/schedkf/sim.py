@@ -13,6 +13,12 @@ numerical survival on unstable plants, where the absolute state outgrows
 double precision long before the error statistics do (for |A| ~ 1.2 the
 measurement noise drops below the ulp of the state near step 190).
 
+Every slot update ends in ``_linalg.psd_floor``, the same PSD guard the
+scalar filter's ``update_component`` applies.  One batched Cholesky
+certifies the whole stack in the common case; the eigenvalue repair runs
+only when that factorization fails, and it touches only the rows whose
+smallest eigenvalue is round-off negative.
+
 Randomness protocol (frozen; reordering it breaks reproducibility):
 each trial owns one ``numpy`` generator seeded from its trial seed and
 consumes, in this order,
@@ -39,9 +45,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._linalg import psd_factor, sym
+from ._linalg import psd_factor, psd_floor, sym
 from .channel import SchedulerConfig, SlotOutcome, derive_trial_seed, scheduler_stats
-from .mare import MareProblem, riccati_map, time_update
+from .mare import DEFAULT_TRACE_CEILING, MareProblem, riccati_map, time_update
 from .model import LinearSystem
 
 __all__ = [
@@ -50,7 +56,6 @@ __all__ = [
     "write_summary_csv", "summary_json_dict",
 ]
 
-DEFAULT_TRACE_CEILING = 1e12
 WORKERS_ENV_VAR = "SCHEDKF_WORKERS"
 
 
@@ -133,22 +138,6 @@ def _trial_noise(seed: int, n: int, m: int, horizon: int):
     return z0, W, V, U
 
 
-def _psd_floor_batch(P: np.ndarray, band: float = 1e-10) -> np.ndarray:
-    """Batched version of the round-off eigenvalue floor."""
-    n = P.shape[-1]
-    if n == 1:
-        return np.where((P < 0.0) & (P > -band), 0.0, P)
-    w = np.linalg.eigvalsh(P)
-    bad = (w[:, 0] < 0.0) & (w[:, 0] > -band)
-    if np.any(bad):
-        wb, Ub = np.linalg.eigh(P[bad])
-        wb = np.clip(wb, 0.0, None)
-        fixed = np.einsum("tij,tj,tkj->tik", Ub, wb, Ub)
-        P = P.copy()
-        P[bad] = sym(fixed)
-    return P
-
-
 def _run_batch(sys: LinearSystem, cfg: SchedulerConfig, horizon: int,
                seeds: Sequence[int], trace_ceiling: float):
     """Run a batch of closed-loop trials; returns stacked raw arrays."""
@@ -209,7 +198,7 @@ def _run_batch(sys: LinearSystem, cfg: SchedulerConfig, horizon: int,
             gain = Pc / s_var[:, None]
             e = e - (deliv * z)[:, None] * gain
             P = P - t_fac[:, None, None] * (gain[:, :, None] * Pc[:, None, :])
-            P = _psd_floor_batch(sym(P))
+            P = psd_floor(P)
             high[:, k - 1, i] = gam
             arrived[:, k - 1, i] = arr
             innovations[:, k - 1, i] = eps

@@ -193,3 +193,14 @@ class TestConfigHandling:
         cfg["system"] = dict(EXAMPLE_SYSTEM, R=[[0.0, 0.0], [0.0, 1.0]])
         path = write_config(tmp_path, cfg)
         assert main(["simulate", str(path)]) == EXIT_INVALID
+
+    def test_non_diagonal_r_rejected_before_any_output(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        cfg = base_config(out)
+        cfg["system"] = dict(EXAMPLE_SYSTEM, R=[[0.1, 0.05], [0.05, 1.0]])
+        path = write_config(tmp_path, cfg)
+        for command in ("simulate", "analyze"):
+            assert main([command, str(path), "--out", str(out)]) == EXIT_INVALID
+            assert "R must be diagonal" in capsys.readouterr().err
+        assert not (out / "effective_config.json").exists()
+        assert not list(out.glob("summary.*"))

@@ -4,6 +4,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as hst
 
 from schedkf import (
     FilterState,
@@ -27,6 +29,7 @@ from schedkf import (
 )
 from schedkf._linalg import psd_factor
 from schedkf.sim import _trial_noise
+from test_filter import random_observable_system
 
 EXAMPLE = LinearSystem(A=[[1.2]], C=[[1.0], [1.0]], Q=[[1.0]],
                      R=[[0.1, 0.0], [0.0, 1.0]], x0_mean=[0.0], P0=[[1.0]])
@@ -34,6 +37,26 @@ EXAMPLE = LinearSystem(A=[[1.2]], C=[[1.0], [1.0]], Q=[[1.0]],
 
 def example_cfg(threshold=1.0, beta=0.5):
     return SchedulerConfig(thresholds=[threshold, threshold], arrival_prob=beta)
+
+
+OP_LEVEL_SYSTEM = LinearSystem(A=[[0.9, 0.1], [0.0, 0.8]],
+                               C=[[1.0, 0.0], [0.3, 1.0]], Q=0.2 * np.eye(2),
+                               R=np.diag([0.4, 0.7]), x0_mean=[1.0, -0.5],
+                               P0=np.eye(2))
+OP_LEVEL_CFG = SchedulerConfig(thresholds=[0.8, 1.5], arrival_prob=0.4)
+
+
+@hst.composite
+def stable_scheduled_systems(draw):
+    """A stable observable system (n in 1..5, m in 1..3) and a scheduler."""
+    n = draw(hst.integers(1, 5))
+    m = draw(hst.integers(1, 3))
+    rho = draw(hst.floats(0.3, 0.95))
+    rng = np.random.default_rng(draw(hst.integers(0, 2**32 - 1)))
+    sysm = random_observable_system(rng, n, m, spectral_radius=rho)
+    cfg = SchedulerConfig(thresholds=rng.uniform(0.3, 2.0, size=m),
+                          arrival_prob=float(rng.uniform(0.1, 0.9)))
+    return sysm, cfg
 
 
 class TestDeterminism:
@@ -88,20 +111,19 @@ class TestDeterminism:
 
 
 class TestEngineConsistency:
-    def test_matches_op_level_composition(self):
+    @settings(max_examples=40, deadline=None)
+    @given(case=stable_scheduled_systems(), seed=hst.integers(0, 2**31 - 1))
+    @example(case=(OP_LEVEL_SYSTEM, OP_LEVEL_CFG), seed=99)
+    def test_matches_op_level_composition(self, case, seed):
         # Rebuild one trial with the public filter/channel operations in
         # absolute coordinates (stable plant, so that route is safe) and
         # compare against the error-space engine.
-        rng = np.random.default_rng(1)
-        A = np.array([[0.9, 0.1], [0.0, 0.8]])
-        sysm = LinearSystem(A=A, C=[[1.0, 0.0], [0.3, 1.0]], Q=0.2 * np.eye(2),
-                            R=np.diag([0.4, 0.7]), x0_mean=[1.0, -0.5],
-                            P0=np.eye(2))
-        cfg = SchedulerConfig(thresholds=[0.8, 1.5], arrival_prob=0.4)
-        K, seed = 80, 99
+        sysm, cfg = case
+        n, m = sysm.n, sysm.m
+        K = 80
         rec = simulate_trial(sysm, cfg, K, seed)
 
-        z0, W, V, U = _trial_noise(seed, 2, 2, K)
+        z0, W, V, U = _trial_noise(seed, n, m, K)
         L0, LQ, LR = psd_factor(sysm.P0), psd_factor(sysm.Q), psd_factor(sysm.R)
         x = sysm.x0_mean + L0 @ z0
         st = FilterState.initial(sysm)
@@ -110,7 +132,7 @@ class TestEngineConsistency:
             x = sysm.A @ x + LQ @ W[k - 1]
             y = sysm.C @ x + LR @ V[k - 1]
             st = predict(st, sysm)
-            for i in range(2):
+            for i in range(m):
                 z_pred, sigma = innovation_stats(st, sysm, i)
                 high, eps = schedule(float(y[i]), z_pred, sigma,
                                      cfg.thresholds[i])
