@@ -250,7 +250,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="schedkf",
         description="Power-scheduled sequential Kalman filtering experiments",
-        epilog="Set SCHEDKF_WORKERS to bound Monte Carlo batch memory; "
+        epilog="SCHEDKF_WORKERS splits the Monte Carlo batch into chunks; "
                "results are identical for any worker count.",
     )
     sub = parser.add_subparsers(dest="command", required=True)

@@ -17,9 +17,22 @@ Two checks bracket mean-square stability:
 
 The envelope functions (gain_envelope, cascade_envelope,
 riccati_envelope) are affine in their matrix argument, touch the
-composite map from above, and coincide with it at the optimal gains;
-they are what turn the fixed-point analysis into linear-operator
-arguments.
+composite map from above, and coincide with it at the optimal gains.
+At fixed gains the envelope is X -> linear_part(X) + riccati_envelope(0)
+with a completely positive linear part, so both questions reduce to
+linear algebra on its n^2 x n^2 matrix: the affine fixed point exists
+and is the limit of the envelope iteration exactly when the spectral
+radius rho of that matrix is below one, and it is one linear solve.
+
+iterate_fixed_point uses this for policy iteration (Hewer, IEEE TAC
+1971): value iteration until the optimal gains at the iterate make
+rho < 1, then alternate "solve the affine fixed point at the gains" and
+"reset the gains to the optimal ones there", which converges
+quadratically from above.  sufficient_check solves the same system with
+the constant raised by I, which yields Pt with Pt - envelope(Pt) = I
+whenever rho < 1; rho is reported as the contraction factor, whose gap
+below 1 measures how far the certificate gains are from the stability
+boundary.
 """
 
 from __future__ import annotations
@@ -189,7 +202,8 @@ def riccati_envelope(gains: Sequence[np.ndarray], X: np.ndarray,
 
 def linear_part(Y: np.ndarray, gains: Sequence[np.ndarray],
                 problem: MareProblem) -> np.ndarray:
-    """The linear-in-X part of riccati_envelope as an operator applied to Y.
+    """The linear-in-X part of riccati_envelope as an operator applied to Y,
+    one (n, n) matrix or a stack (..., n, n).
 
     Strips Q and all gain-noise terms, so riccati_envelope(gains, X)
     minus linear_part(X, gains) is a constant PSD matrix.  Contractivity
@@ -223,16 +237,54 @@ def optimal_gains(X: np.ndarray, problem: MareProblem) -> list[np.ndarray]:
     return gains
 
 
+def _affine_fixed_point(gains: Sequence[np.ndarray], const: np.ndarray,
+                        problem: MareProblem, X: np.ndarray,
+                        ) -> tuple[Optional[np.ndarray], float]:
+    """Solve P = linear_part(P, gains) + const in one n^2 x n^2 system.
+
+    Returns (P, rho) with rho the spectral radius of the linear part; P
+    is None when rho >= 1, where the affine map has no attracting fixed
+    point.  The system is written in the coordinates where X, an
+    estimate of P's scale, is the identity (congruence by T = X^(1/2),
+    eigenvalues floored at 1e-12 of the largest): next to a fixed point
+    whose eigenvalues spread over many decades the plain system can
+    have condition number 1e10 and lose six digits, the scaled one
+    stays well conditioned.  Column k of the operator matrix is the
+    image of the k-th unit matrix.
+    """
+    n = problem.n
+    ev, V = np.linalg.eigh(sym(X))
+    if ev[-1] > 0.0:
+        root = np.sqrt(np.maximum(ev, 1e-12 * ev[-1]))
+        T, T_inv = V * root, (V / root).T
+    else:
+        T = T_inv = np.eye(n)
+    units = np.eye(n * n).reshape(n * n, n, n)
+    L = T_inv @ linear_part(T @ units @ T.T, gains, problem) @ T_inv.T
+    L = L.reshape(n * n, n * n).T
+    rho = float(np.max(np.abs(np.linalg.eigvals(L))))
+    if not rho < 1.0:
+        return None, rho
+    Y = np.linalg.solve(np.eye(n * n) - L, (T_inv @ const @ T_inv.T).reshape(-1))
+    return sym(T @ Y.reshape(n, n) @ T.T), rho
+
+
 @dataclass
 class FixedPointResult:
     status: str                       # "converged", "diverged", "undetermined"
     fixed_point: Optional[np.ndarray]
-    iterations: int
-    trace_history: np.ndarray
+    iterations: int                   # map applications plus policy steps
+    trace_history: np.ndarray         # trace of X0 and of every iterate
 
     @property
     def converged(self) -> bool:
         return self.status == "converged"
+
+
+# After the policy jump the iterate sits at the fixed point up to
+# round-off; a step that has not reached a new minimum for this many map
+# applications is jitter, not progress.
+_STALL_STEPS = 50
 
 
 def iterate_fixed_point(problem: MareProblem, X0: Optional[np.ndarray] = None,
@@ -240,31 +292,90 @@ def iterate_fixed_point(problem: MareProblem, X0: Optional[np.ndarray] = None,
                         max_iter: int = DEFAULT_MAX_ITER,
                         trace_ceiling: float = DEFAULT_TRACE_CEILING,
                         ) -> FixedPointResult:
-    """Iterate the composite map from X0 (default 0) to a fixed point.
+    """Fixed point of the composite map from X0 (default 0).
 
-    Convergence is declared when the successive-iterate max-norm drops
-    to ``tol``; divergence when the trace passes ``trace_ceiling`` or
-    the trace is still growing monotonically when ``max_iter`` runs out.
-    Anything else is reported as undetermined rather than guessed.
+    1. If the necessary check fails and Q > 0 (``_necessary_decides``),
+       return "diverged" after 0 iterations.
+    2. Otherwise apply the map (value iteration).  After map
+       applications 1, 2, 4, 8, ... take the optimal gains at the
+       iterate; once their envelope has rho < 1, jump: run policy steps
+       (solve the affine fixed point at the gains, reset the gains to
+       optimal_gains(time_update(X))) until a step is <= ``tol`` or
+       stops shrinking, then resume value iteration from there.  The
+       jump is taken once.
+    3. Convergence is declared only when max|map(X) - X| <= ``tol``.
+       The trace passing ``trace_ceiling`` (or turning non-finite) means
+       "diverged".  After the jump, a step that makes no new minimum for
+       50 map applications means round-off has stalled the iteration
+       above ``tol``: "undetermined".  Running out of ``max_iter`` is
+       "undetermined" as well.
+
+    ``iterations`` counts map applications plus policy steps, and
+    ``trace_history`` holds the trace of X0 followed by the trace of
+    each of those iterates in order.
     """
     if tol <= 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
     n = problem.n
     X = np.zeros((n, n)) if X0 is None else sym(np.asarray(X0, dtype=float))
     traces = [float(np.trace(X))]
-    for it in range(1, max_iter + 1):
+
+    def result(status, fixed_point=None):
+        return FixedPointResult(status, fixed_point, len(traces) - 1,
+                                np.asarray(traces))
+
+    if _necessary_decides(problem):
+        return result("diverged")
+    jumped = False
+    next_probe = 1
+    best, since_best = np.inf, 0
+    while len(traces) <= max_iter:
         Xn = riccati_map(X, problem)
         tr = float(np.trace(Xn))
         traces.append(tr)
         if not np.isfinite(tr) or tr > trace_ceiling:
-            return FixedPointResult("diverged", None, it, np.asarray(traces))
-        if float(np.max(np.abs(Xn - X))) <= tol:
-            return FixedPointResult("converged", Xn, it, np.asarray(traces))
+            return result("diverged")
+        step = float(np.max(np.abs(Xn - X)))
+        if step <= tol:
+            return result("converged", Xn)
         X = Xn
-    tail = traces[-10:]
-    growing = all(b > a for a, b in zip(tail, tail[1:]))
-    status = "diverged" if growing else "undetermined"
-    return FixedPointResult(status, None, max_iter, np.asarray(traces))
+        if jumped:
+            if step < best:
+                best, since_best = step, 0
+            else:
+                since_best += 1
+                if since_best >= _STALL_STEPS:
+                    return result("undetermined")
+        elif len(traces) - 1 == next_probe:
+            next_probe *= 2
+            X, jumped = _policy_steps(X, problem, tol, max_iter, traces)
+    return result("undetermined")
+
+
+def _policy_steps(X: np.ndarray, problem: MareProblem, tol: float,
+                  max_iter: int, traces: list) -> tuple[np.ndarray, bool]:
+    """Hewer's policy iteration from the optimal gains at X.
+
+    Appends the trace of every policy iterate to ``traces`` and returns
+    the last iterate with whether any step was taken (False when the
+    gains at X do not make the envelope contract).
+    """
+    zero = np.zeros_like(X)
+    last = np.inf
+    jumped = False
+    while len(traces) <= max_iter:
+        gains = optimal_gains(time_update(X, problem.system), problem)
+        Xp, _ = _affine_fixed_point(
+            gains, riccati_envelope(gains, zero, problem), problem, X)
+        if Xp is None:
+            break
+        step = float(np.max(np.abs(Xp - X)))
+        X, jumped = Xp, True
+        traces.append(float(np.trace(X)))
+        if step <= tol or step >= last:
+            break
+        last = step
+    return X, jumped
 
 
 @dataclass(frozen=True)
@@ -282,15 +393,30 @@ def necessary_check(problem: MareProblem) -> NecessaryCheck:
     return NecessaryCheck(ok=bool(lhs <= rhs), lhs=lhs, rhs=float(rhs))
 
 
+def _necessary_decides(problem: MareProblem) -> bool:
+    """True when the failed necessary check alone proves divergence.
+
+    riccati_map(X) >= s (A X A' + Q) with s = prod(1 - lam_i).  For a
+    left eigenvector v of A with eigenvalue mu, a fixed point X would
+    give (1 - s |mu|^2) v*Xv >= s v*Qv.  If s |mu|^2 > 1 the left side
+    is <= 0, so Q > 0 leaves no fixed point.  With a singular Q the
+    dominant mode may be unexcited and a finite fixed point may exist.
+    """
+    return not necessary_check(problem).ok and min_eig(problem.system.Q) > 0.0
+
+
 @dataclass(frozen=True)
 class Certificate:
-    """Witness of the sufficient condition: feasible gains and a strictly
+    """Witness of the sufficient condition: feasible gains, a strictly
     feasible matrix with its feasibility margin (min eigenvalue of
-    matrix - riccati_envelope(gains, matrix))."""
+    matrix - riccati_envelope(gains, matrix)), and the contraction
+    factor rho(linear_part) at the gains, whose gap below 1 measures how
+    far the gains are from the stability boundary."""
 
     gains: list
     matrix: np.ndarray
     margin: float
+    contraction: float
 
 
 @dataclass(frozen=True)
@@ -299,43 +425,39 @@ class SufficientCheck:
     certificate: Optional[Certificate]
 
 
-# Inflation ladder for the certificate search, as multiples of the
-# fixed point's mean eigenvalue.
-_LADDER = (1e-6, 1e-4, 1e-2, 1.0)
-
-
 def sufficient_check(problem: MareProblem, margin_tol: float = 0.0,
                      fixed_point: Optional[FixedPointResult] = None,
                      ) -> SufficientCheck:
-    """Search for a stability certificate.
+    """Decide the sufficient condition at the fixed point's gains.
 
-    The condition is an existence statement, so this is a heuristic
-    search, not a decision procedure: take the fixed point reached from
-    0, extract its optimal envelope gains, and inflate the fixed point
-    along a geometric ladder until the envelope inequality becomes
-    strict.  A False result therefore means "no certificate found", not
-    "condition violated".
+    Takes the optimal envelope gains at the fixed point reached from 0
+    (``fixed_point`` if given, else a fresh iterate_fixed_point) and
+    solves Pt = linear_part(Pt) + riccati_envelope(gains, 0) + I, so
+    that Pt - riccati_envelope(gains, Pt) = I.  That system has a
+    solution Pt >= I exactly when rho(linear_part) < 1, so the result is
+    exact at these gains and the margin is 1 up to round-off.  False
+    means the fixed point did not converge, rho >= 1 at these gains, or
+    the margin is not above ``margin_tol``; other gains are not tried.
     """
     fp = fixed_point if fixed_point is not None else iterate_fixed_point(problem)
     if not fp.converged:
         return SufficientCheck(ok=False, certificate=None)
-    P_bar = fp.fixed_point
-    gains = optimal_gains(time_update(P_bar, problem.system), problem)
+    gains = optimal_gains(time_update(fp.fixed_point, problem.system), problem)
     n = problem.n
-    scale = float(np.trace(P_bar)) / n
-    if scale <= 0.0:
-        scale = 1.0
-    for c in _LADDER:
-        Pt = P_bar + (c * scale) * np.eye(n)
-        margin = min_eig(Pt - riccati_envelope(gains, Pt, problem))
-        if margin > margin_tol:
-            if min_eig(Pt) <= 0.0:
-                # A feasible certificate matrix is necessarily PD; hitting
-                # this would mean the envelope algebra is broken.
-                raise AssertionError("certificate matrix is not positive definite")
-            return SufficientCheck(ok=True, certificate=Certificate(
-                gains=gains, matrix=Pt, margin=float(margin)))
-    return SufficientCheck(ok=False, certificate=None)
+    const = riccati_envelope(gains, np.zeros((n, n)), problem) + np.eye(n)
+    Pt, rho = _affine_fixed_point(gains, const, problem, fp.fixed_point)
+    if Pt is None:
+        return SufficientCheck(ok=False, certificate=None)
+    margin = min_eig(Pt - riccati_envelope(gains, Pt, problem))
+    if not margin > margin_tol:
+        return SufficientCheck(ok=False, certificate=None)
+    if min_eig(Pt) <= 0.0:
+        # Pt = sum_k L^k(const) >= I for a contracting completely
+        # positive L; hitting this would mean the envelope algebra is
+        # broken.
+        raise AssertionError("certificate matrix is not positive definite")
+    return SufficientCheck(ok=True, certificate=Certificate(
+        gains=gains, matrix=Pt, margin=float(margin), contraction=rho))
 
 
 @dataclass
@@ -370,6 +492,7 @@ class MareReport:
             suf = {
                 "ok": self.sufficient.ok,
                 "margin": None if cert is None else cert.margin,
+                "contraction": None if cert is None else cert.contraction,
                 "gains": None if cert is None else [g.tolist() for g in cert.gains],
                 "p_tilde": None if cert is None else cert.matrix.tolist(),
             }
@@ -407,6 +530,9 @@ def analyze(problem: MareProblem, tol: float = DEFAULT_TOL,
                                      "despite Q > 0")
             # Possible when Q is singular PSD; recorded, not fatal.
             messages.append("fixed point is singular positive semidefinite")
+    if fp.status == "diverged" and _necessary_decides(problem):
+        messages.append("diverged without iterating: the necessary condition "
+                        "fails and Q > 0")
     report = MareReport(status=fp.status, fixed_point=fp.fixed_point,
                         iterations=fp.iterations, trace_history=fp.trace_history,
                         messages=messages)

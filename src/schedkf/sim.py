@@ -276,9 +276,11 @@ def monte_carlo(sys: LinearSystem, cfg: SchedulerConfig, horizon: int,
 
     Per-trial seeds are derived from the master seed, so the summary is
     reproducible bit for bit.  The SCHEDKF_WORKERS environment variable
-    only splits the batch into chunks (bounding peak memory); every
+    only splits the batch into chunks that run one after another; every
     per-trial computation is row-local, so the worker count cannot
-    change any number in the summary.
+    change any number in the summary.  The chunks' arrays are
+    concatenated before aggregation, so chunking does not lower peak
+    memory (it raises it by the copy).
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")

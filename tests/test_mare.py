@@ -6,14 +6,20 @@ rate-1 specializations are validated against textbook information-form
 and batch Riccati updates.
 """
 
+import time
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as hst
+from scipy.linalg import solve_discrete_are
 
 from schedkf import (
     LinearSystem,
     MareProblem,
     cascade_envelope,
     gain_envelope,
+    analyze,
     iterate_fixed_point,
     linear_part,
     mixture_weights,
@@ -398,11 +404,148 @@ class TestFixedPoint:
             iterate_fixed_point(example_problem(), tol=0.0)
 
 
+def scalar_fixed_point(a, q, r, rate):
+    """Closed-form fixed point of the one-slot scalar map.
+
+    With P = a^2 X + q the prior, X = P((1 - rate) P + r) / (P + r) and
+    X = (P - q) / a^2 give d P^2 + b P - q r = 0 with
+    d = 1 - a^2 (1 - rate) and b = r - q - a^2 r; d > 0 is the stable
+    side, where the positive root is the fixed point.
+    """
+    d = 1.0 - a * a * (1.0 - rate)
+    b = r - q - a * a * r
+    P = (-b + np.sqrt(b * b + 4.0 * d * q * r)) / (2.0 * d)
+    return (P - q) / (a * a)
+
+
+def value_iteration(prob, rtol=1e-12, max_steps=3000):
+    """Reference: plain riccati_map iteration from 0, or None when it
+    does not settle within max_steps (or blows up)."""
+    X = np.zeros((prob.n, prob.n))
+    for _ in range(max_steps):
+        Xn = riccati_map(X, prob)
+        if not np.all(np.isfinite(Xn)) or np.trace(Xn) > 1e10:
+            return None
+        if np.max(np.abs(Xn - X)) <= rtol * (1.0 + np.max(np.abs(Xn))):
+            return Xn
+        X = Xn
+    return None
+
+
+SCALAR_BOUNDARY = LinearSystem(A=[[1.2]], C=[[1.0]], Q=[[1.0]], R=[[1.0]],
+                               x0_mean=[0.0], P0=[[1.0]])
+
+
+class TestBoundary:
+    def test_scalar_critical_rate(self):
+        # Sinopoli et al. (IEEE TAC 2004): with one slot the scalar map has
+        # a finite fixed point exactly above the rate 1 - 1/a^2, and the
+        # necessary check is tight there
+        critical = 1.0 - 1.0 / 1.44
+        start = time.perf_counter()
+        for eps in (-1e-2, -1e-3, -1e-4, 1e-4, 1e-3, 1e-2):
+            prob = MareProblem(system=SCALAR_BOUNDARY,
+                               info_rates=[critical + eps])
+            fp = iterate_fixed_point(prob)
+            if eps < 0:
+                assert fp.status == "diverged"
+                assert fp.iterations == 0
+                assert fp.fixed_point is None
+            else:
+                assert fp.converged
+                want = scalar_fixed_point(1.2, 1.0, 1.0, critical + eps)
+                assert fp.fixed_point[0, 0] == pytest.approx(want, rel=1e-9)
+        assert time.perf_counter() - start < 1.0
+
+    def test_singular_q_keeps_iterating_past_failed_necessary_check(self):
+        # the unstable mode is neither excited nor observed, so the failed
+        # necessary check proves nothing and the fixed point is finite
+        sysm = LinearSystem(A=np.diag([2.0, 0.5]), C=[[0.0, 1.0]],
+                            Q=np.diag([0.0, 1.0]), R=[[1.0]],
+                            x0_mean=[0.0, 0.0], P0=np.eye(2))
+        prob = MareProblem(system=sysm, info_rates=[0.1])
+        assert not necessary_check(prob).ok
+        fp = iterate_fixed_point(prob)
+        assert fp.converged
+        # x = P - 0.1 P^2 / (P + 1) with P = x / 4 + 1
+        P = 0.25 * fp.fixed_point[1, 1] + 1.0
+        assert fp.fixed_point[1, 1] == pytest.approx(P - 0.1 * P * P / (P + 1.0),
+                                                     abs=1e-8)
+        assert np.allclose(fp.fixed_point, np.diag([0.0, 1.2344]), atol=1e-4)
+
+    def test_round_off_stall_is_undetermined(self):
+        # the fixed point's largest entry is ~1.7e4, so the step jitters
+        # around 1e-10..1e-9 from cancellation and never reaches 1e-12
+        sysm = LinearSystem(A=[[-0.5176, 0.7119], [0.1130, -1.1638]],
+                            C=[[0.3488, 0.6957], [0.4078, 0.4019]],
+                            Q=[[0.2155, -0.0253], [-0.0253, 1.6036]],
+                            R=np.diag([0.2208, 1.7700]),
+                            x0_mean=[0.0, 0.0], P0=np.eye(2))
+        prob = MareProblem(system=sysm, info_rates=[0.163, 0.351])
+        fp = iterate_fixed_point(prob, tol=1e-12)
+        assert fp.status == "undetermined"
+        assert fp.iterations < 1000
+        fp = iterate_fixed_point(prob, tol=1e-9)
+        assert fp.converged
+        assert np.max(np.abs(riccati_map(fp.fixed_point, prob)
+                             - fp.fixed_point)) <= 1e-9
+
+    def test_full_rates_match_dare(self):
+        # rate 1 is the classical filter: the posterior of the DARE solution
+        rng = np.random.default_rng(24)
+        for _ in range(5):
+            prob = random_problem(rng, radius=1.3)
+            prob = MareProblem(system=prob.system, info_rates=np.ones(prob.m))
+            sysm = prob.system
+            P = solve_discrete_are(sysm.A.T, sysm.C.T, sysm.Q, sysm.R)
+            S = sysm.C @ P @ sysm.C.T + sysm.R
+            want = P - P @ sysm.C.T @ np.linalg.solve(S, sysm.C @ P)
+            fp = iterate_fixed_point(prob)
+            assert fp.converged
+            assert np.max(np.abs(fp.fixed_point - want)) <= 1e-8 * (
+                1.0 + np.max(np.abs(want)))
+
+
+@hst.composite
+def random_problems(draw):
+    n = draw(hst.integers(1, 4))
+    m = draw(hst.integers(1, 3))
+    rng = np.random.default_rng(draw(hst.integers(0, 2**32 - 1)))
+    return random_problem(rng, n=n, m=m)
+
+
+class TestPolicyIterationProperties:
+    @settings(max_examples=30, deadline=None)
+    @given(prob=random_problems())
+    # largest entry 1.8e5: the map's step jitters up to 1e-5 there
+    @example(prob=random_problem(np.random.default_rng(2626)))
+    # fixed point eigenvalues 0.75 .. 2e6 and gains near 90: the policy
+    # solve in plain coordinates has condition number 3e10
+    @example(prob=random_problem(np.random.default_rng(3729)))
+    def test_agrees_with_value_iteration_and_certifies(self, prob):
+        want = value_iteration(prob)
+        scale = 1.0 if want is None else 1.0 + np.max(np.abs(want))
+        # the map's round-off floor is relative (~1e-12 of the largest
+        # entry, more for ill-conditioned problems), so an absolute tol
+        # below it ends in "undetermined" by design
+        fp = iterate_fixed_point(prob, tol=1e-10 * scale)
+        if want is not None:
+            assert fp.converged
+            assert np.max(np.abs(fp.fixed_point - want)) <= 1e-7 * scale
+        if fp.converged:
+            res = sufficient_check(prob, fixed_point=fp)
+            assert res.ok
+            cert = res.certificate
+            assert 0.0 <= cert.contraction < 1.0
+            gap = cert.matrix - riccati_envelope(cert.gains, cert.matrix, prob)
+            assert np.max(np.abs(gap - np.eye(prob.n))) <= 1e-8 * (
+                1.0 + np.max(np.abs(cert.matrix)))
+
+
 class TestAnalyze:
     def test_singular_process_noise_recorded_not_fatal(self):
         # a noise-free direction can leave the fixed point singular PSD;
         # that is reported as a message, not an error
-        from schedkf import analyze
         A = np.array([[0.5, 0.1], [0.0, 0.4]])
         Q = np.array([[1.0, 0.0], [0.0, 0.0]])
         sysm = LinearSystem(A=A, C=[[1.0, 0.0]], Q=Q, R=[[1.0]],
@@ -412,14 +555,23 @@ class TestAnalyze:
         assert any("singular" in msg for msg in rep.messages)
 
     def test_report_json_shape(self):
-        from schedkf import analyze
         rep = analyze(example_problem())
         doc = rep.to_json_dict()
         assert doc["status"] == "converged"
         assert doc["necessary"].keys() == {"lhs", "rhs", "ok"}
-        assert doc["sufficient"].keys() == {"ok", "margin", "gains", "p_tilde"}
+        assert doc["sufficient"].keys() == {"ok", "margin", "contraction",
+                                            "gains", "p_tilde"}
+        assert 0.0 < doc["sufficient"]["contraction"] < 1.0
         assert isinstance(doc["trace_history"], list)
         assert np.asarray(doc["fixed_point"]).shape == (1, 1)
+
+    def test_necessary_short_cut_reported(self):
+        rep = analyze(example_problem(rates=(0.1, 0.1)))
+        assert rep.status == "diverged"
+        assert rep.iterations == 0
+        assert any("necessary condition" in msg for msg in rep.messages)
+        assert not any("necessary condition" in msg
+                       for msg in analyze(example_problem()).messages)
 
 
 class TestNecessary:
