@@ -1,4 +1,6 @@
-"""Small symmetric-matrix helpers shared across the package."""
+"""Small symmetric-matrix helpers shared across the package: the one
+weighted rank-one covariance update of the filter, the batched engine and
+the Riccati operator, and the PSD guard, which runs once per step."""
 
 from __future__ import annotations
 
@@ -20,6 +22,23 @@ def sym(M: np.ndarray) -> np.ndarray:
 def min_eig(M: np.ndarray) -> float:
     """Smallest eigenvalue of the symmetric part of M."""
     return float(np.linalg.eigvalsh(sym(M))[..., 0])
+
+
+def innovation_terms(P: np.ndarray, c: np.ndarray, r) -> tuple:
+    """P c and the innovation variance s = c'Pc + r of one scalar slot,
+    row by row over any leading batch axes of P."""
+    Pc = np.einsum("...jk,k->...j", P, c)
+    return Pc, np.einsum("...j,j->...", Pc, c) + r
+
+
+def weighted_update(P: np.ndarray, Pc: np.ndarray, s, t) -> tuple:
+    """sym(P - t (Pc/s) (Pc)') and the gain Pc/s, with Pc and s from
+    ``innovation_terms`` and t (a scalar or per row) the slot's weight.
+    The rank-one term is not symmetric bit for bit, hence the ``sym``;
+    intermediate slot values feed only s > 0, so no PSD floor runs here."""
+    gain = Pc / np.asarray(s)[..., None]
+    t = np.asarray(t)[..., None, None]
+    return sym(P - t * (gain[..., :, None] * Pc[..., None, :])), gain
 
 
 def psd_floor(M: np.ndarray, band: float = 1e-10) -> np.ndarray:

@@ -13,6 +13,9 @@ scheduler's silence reveals that the normalized innovation stayed inside
 [-threshold, threshold]; ``drop_shrink`` is exactly the variance deficit
 of that truncation.  All of this is exact under the running assumption
 that the predicted conditional density is Gaussian.
+
+The correction is ``_linalg.weighted_update``, shared with the engine and
+the Riccati operator; ``step`` runs the PSD floor once, after the slots.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._linalg import psd_floor, sym
+from ._linalg import innovation_terms, psd_floor, sym, weighted_update
 from .model import LinearSystem
 from .stats import ComponentStats
 
@@ -106,7 +109,8 @@ def innovation_stats(state: FilterState, sys: LinearSystem,
 
 def update_component(state: FilterState, sys: LinearSystem, slot: SlotUpdate,
                      stats_i: ComponentStats) -> FilterState:
-    """One sequential measurement update with the three-branch weighting."""
+    """One sequential measurement update with the three-branch weighting
+    (no PSD floor: ``step`` applies it once, after the last slot)."""
     delivered = slot.delivered
     if delivered and slot.value is None:
         raise ValueError("slot marked delivered but carries no value")
@@ -114,23 +118,18 @@ def update_component(state: FilterState, sys: LinearSystem, slot: SlotUpdate,
         raise ValueError("slot carries a value but was not delivered")
 
     c = sys.C[slot.index]
-    Pc = state.P @ c
-    s_var = float(c @ Pc + sys.R[slot.index, slot.index])
-    gain = Pc / s_var
-
-    x = state.x
-    if delivered:
-        x = x + gain * (slot.value - float(c @ x))
-
+    Pc, s_var = innovation_terms(state.P, c, sys.R[slot.index, slot.index])
     t = 1.0 if delivered else stats_i.drop_shrink
-    P = psd_floor(state.P - t * np.outer(gain, Pc))
+    P, gain = weighted_update(state.P, Pc, s_var, t)
+    x = state.x + gain * (slot.value - float(c @ state.x)) if delivered else state.x
     return FilterState(x=x, P=P, k=state.k)
 
 
 def step(state: FilterState, sys: LinearSystem, slots: Sequence[SlotUpdate],
          stats: Sequence[ComponentStats],
          ) -> tuple[FilterState, list[SlotTrace]]:
-    """Full filter cycle: predict, then all m slot updates in index order.
+    """Full filter cycle: predict, all m slot updates in index order, then
+    the PSD floor on the stored covariance.
 
     The result depends on the slot order; it is fixed to 0..m-1 to match
     the round-robin transmission protocol.
@@ -145,11 +144,8 @@ def step(state: FilterState, sys: LinearSystem, slots: Sequence[SlotUpdate],
             raise ValueError(f"slots must be ordered 0..m-1; slot {i} has "
                              f"index {slot.index}")
         z_pred, sigma = innovation_stats(st, sys, i)
-        c = sys.C[i]
-        gain = st.P @ c / (sigma * sigma)
-        innov = None
-        if slot.value is not None:
-            innov = (slot.value - z_pred) / sigma
-        traces.append(SlotTrace(sigma=sigma, innovation=innov, gain=gain))
+        innov = None if slot.value is None else (slot.value - z_pred) / sigma
+        traces.append(SlotTrace(sigma=sigma, innovation=innov,
+                                gain=st.P @ sys.C[i] / (sigma * sigma)))
         st = update_component(st, sys, slot, stats[i])
-    return st, traces
+    return FilterState(x=st.x, P=psd_floor(st.P), k=st.k), traces

@@ -42,7 +42,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._linalg import min_eig, sym
+from ._linalg import innovation_terms, min_eig, sym, weighted_update
 from .model import LinearSystem, is_diagonal
 
 __all__ = [
@@ -98,9 +98,8 @@ def partial_update(X: np.ndarray, rate: float, c: np.ndarray,
                    r: float) -> np.ndarray:
     """Rate-weighted scalar-measurement update:
     X - rate * (X c')(c X) / (c X c' + r)."""
-    Xc = X @ c
-    s = float(c @ Xc + r)
-    return sym(X - rate * np.outer(Xc, Xc) / s)
+    Xc, s = innovation_terms(X, c, r)
+    return weighted_update(X, Xc, s, rate)[0]
 
 
 def update_cascade(X: np.ndarray, problem: MareProblem) -> np.ndarray:
@@ -193,11 +192,8 @@ def riccati_envelope(gains: Sequence[np.ndarray], X: np.ndarray,
                      problem: MareProblem) -> np.ndarray:
     """Affine envelope of the full composite map: the cascade envelope
     seeded with the time update of X."""
-    if len(gains) != problem.m:
-        raise ValueError(f"expected {problem.m} gains, got {len(gains)}")
-    H = time_update(np.asarray(X, dtype=float), problem.system)
-    vals = _envelope_tail([H, H], gains, problem, with_noise=True)
-    return vals[-1]
+    return cascade_envelope(gains, time_update(np.asarray(X, dtype=float),
+                                              problem.system), problem)
 
 
 def linear_part(Y: np.ndarray, gains: Sequence[np.ndarray],
@@ -230,10 +226,9 @@ def optimal_gains(X: np.ndarray, problem: MareProblem) -> list[np.ndarray]:
     T = sym(np.asarray(X, dtype=float))
     gains: list[np.ndarray] = []
     for i, rate in enumerate(problem.info_rates):
-        c = sysm.C[i]
-        Tc = T @ c
-        gains.append(-Tc / float(c @ Tc + r[i]))
-        T = partial_update(T, rate, c, r[i])
+        Tc, s = innovation_terms(T, sysm.C[i], r[i])
+        T, gain = weighted_update(T, Tc, s, rate)
+        gains.append(-gain)
     return gains
 
 

@@ -12,7 +12,6 @@ a time, which is equivalent to the batch update only when R is diagonal;
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -127,10 +126,6 @@ class LinearSystem:
             raise ValueError(f"system definition missing keys: {sorted(missing)}")
         return cls(A=data["A"], C=data["C"], Q=data["Q"], R=data["R"],
                    x0_mean=data["x0_mean"], P0=data["P0"])
-
-    @classmethod
-    def from_json(cls, text: str) -> "LinearSystem":
-        return cls.from_dict(json.loads(text))
 
     def to_dict(self) -> dict:
         return {

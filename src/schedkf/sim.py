@@ -13,11 +13,10 @@ numerical survival on unstable plants, where the absolute state outgrows
 double precision long before the error statistics do (for |A| ~ 1.2 the
 measurement noise drops below the ulp of the state near step 190).
 
-Every slot update ends in ``_linalg.psd_floor``, the same PSD guard the
-scalar filter's ``update_component`` applies.  One batched Cholesky
-certifies the whole stack in the common case; the eigenvalue repair runs
-only when that factorization fails, and it touches only the rows whose
-smallest eigenvalue is round-off negative.
+Slot updates are ``_linalg.weighted_update``, as in the scalar filter.
+The PSD guard ``_linalg.psd_floor`` runs once per step, on the stored
+covariance, as in ``filter.step``: one batched Cholesky certifies the
+stack, and the eigenvalue repair touches only round-off negative rows.
 
 Randomness protocol (frozen; reordering it breaks reproducibility):
 each trial owns one ``numpy`` generator seeded from its trial seed and
@@ -45,7 +44,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._linalg import psd_factor, psd_floor, sym
+from ._linalg import innovation_terms, psd_factor, psd_floor, sym, weighted_update
 from .channel import SchedulerConfig, SlotOutcome, derive_trial_seed, scheduler_stats
 from .mare import DEFAULT_TRACE_CEILING, MareProblem, riccati_map, time_update
 from .model import LinearSystem
@@ -186,22 +185,18 @@ def _run_batch(sys: LinearSystem, cfg: SchedulerConfig, horizon: int,
         P = sym(P)
         for i in range(m):
             c = sys.C[i]
-            Pc = np.einsum("tjk,k->tj", P, c)
-            s_var = np.einsum("tj,j->t", Pc, c) + r_diag[i]
-            sigma = np.sqrt(s_var)
+            Pc, s_var = innovation_terms(P, c, r_diag[i])
             z = np.einsum("tj,j->t", e, c) + v_noise[:, k - 1, i]
-            eps = z / sigma
+            eps = z / np.sqrt(s_var)
             gam = np.abs(eps) > thresholds[i]
             arr = U[:, k - 1, i] < beta
             deliv = gam | arr
-            t_fac = np.where(deliv, 1.0, shrink[i])
-            gain = Pc / s_var[:, None]
+            P, gain = weighted_update(P, Pc, s_var, np.where(deliv, 1.0, shrink[i]))
             e = e - (deliv * z)[:, None] * gain
-            P = P - t_fac[:, None, None] * (gain[:, :, None] * Pc[:, None, :])
-            P = psd_floor(P)
             high[:, k - 1, i] = gam
             arrived[:, k - 1, i] = arr
             innovations[:, k - 1, i] = eps
+        P = psd_floor(P)
         errors[:, k] = e
         covs[:, k] = P
 

@@ -210,3 +210,39 @@ class TestStep:
         heard = update_component(st, sysm, SlotUpdate(0, 0.3, True, True), stats[0])
         assert np.linalg.eigvalsh(st.P - silent.P)[0] >= -1e-12
         assert np.linalg.eigvalsh(silent.P - heard.P)[0] >= -1e-12
+
+
+class TestPsdGuard:
+    """The PSD floor runs once per step, after the slots, on the returned P."""
+
+    @staticmethod
+    def unobserved_negative(lowest):
+        # P has eigenvalue `lowest` along u3; no slot observes u3 (C rows
+        # are u1, u2) and Q has no mass there, so only the floor can move it
+        U, _ = np.linalg.qr(np.random.default_rng(4).standard_normal((3, 3)))
+        P = (U * [1.0, 2.0, lowest]) @ U.T
+        sysm = LinearSystem(A=np.eye(3), C=U[:, :2].T,
+                            Q=(U * [1.0, 1.0, 0.0]) @ U.T, R=np.eye(2),
+                            x0_mean=np.zeros(3), P0=np.eye(3))
+        return FilterState(x=np.zeros(3), P=0.5 * (P + P.T)), sysm
+
+    @pytest.mark.parametrize("delivered", [True, False])
+    def test_round_off_negative_floored_by_step(self, delivered):
+        st, sysm = self.unobserved_negative(-1e-12)
+        stats = [component_stats(1.0, 0.5)] * 2
+        slots = [SlotUpdate(i, 0.0 if delivered else None, delivered, delivered)
+                 for i in range(2)]
+        pred = predict(st, sysm)
+        mid = update_component(pred, sysm, slots[0], stats[0])
+        mid = update_component(mid, sysm, slots[1], stats[1])
+        assert np.linalg.eigvalsh(mid.P)[0] == pytest.approx(-1e-12, rel=1e-3)
+        out, _ = step(st, sysm, slots, stats)
+        assert abs(np.linalg.eigvalsh(out.P)[0]) <= 1e-15
+        assert np.max(np.abs(out.P - mid.P)) <= 1e-11
+
+    def test_genuine_violation_stays_visible(self):
+        st, sysm = self.unobserved_negative(-1e-6)
+        stats = [component_stats(1.0, 0.5)] * 2
+        slots = [SlotUpdate(i, 0.0, True, True) for i in range(2)]
+        out, _ = step(st, sysm, slots, stats)
+        assert np.linalg.eigvalsh(out.P)[0] == pytest.approx(-1e-6, rel=1e-6)

@@ -1,10 +1,19 @@
 """The shared PSD floor: when it fires, when it must not, and that its
-Cholesky certificate never skips a row the eigenvalue floor would fix."""
+Cholesky certificate never skips a row the eigenvalue floor would fix.
+The weighted rank-one update kernel against a textbook update, on stacks
+and single rows."""
 
 import numpy as np
 import pytest
 
-from schedkf._linalg import _eigen_floor, psd_floor, sym
+from schedkf import component_stats
+from schedkf._linalg import (
+    _eigen_floor,
+    innovation_terms,
+    psd_floor,
+    sym,
+    weighted_update,
+)
 
 BAND = 1e-10
 
@@ -92,3 +101,61 @@ def test_certificate_agrees_with_eigenvalue_floor(n, scale):
     assert np.array_equal(psd_floor(stack), _eigen_floor(stack, BAND))
     for M in stack:
         assert np.array_equal(psd_floor(M), _eigen_floor(M, BAND))
+
+
+DROP_SHRINK = component_stats(1.3, 0.4).drop_shrink
+
+
+def random_psd(rng, n, rows=None):
+    shape = (n, n) if rows is None else (rows, n, n)
+    B = rng.standard_normal(shape)
+    return B @ np.swapaxes(B, -1, -2) + 0.1 * np.eye(n)
+
+
+def textbook_update(P, c, r, t):
+    """Independent oracle: P - t K (c P) with the gain K = P c / (c P c + r)."""
+    K = P @ c / (c @ P @ c + r)
+    return P - t * np.outer(K, c @ P)
+
+
+class TestWeightedUpdate:
+    @pytest.mark.parametrize("n", [1, 2, 4])
+    @pytest.mark.parametrize("t", [0.0, DROP_SHRINK, 1.0])
+    def test_matches_textbook_update(self, n, t):
+        rng = np.random.default_rng(n)
+        for _ in range(20):
+            P = random_psd(rng, n)
+            c = rng.standard_normal(n)
+            r = float(rng.uniform(0.05, 2.0))
+            Pc, s = innovation_terms(P, c, r)
+            out, gain = weighted_update(P, Pc, s, t)
+            want = textbook_update(P, c, r, t)
+            scale = 1.0 + np.max(np.abs(P))
+            assert np.max(np.abs(out - want)) <= 1e-12 * scale
+            assert np.max(np.abs(gain - P @ c / (c @ P @ c + r))) <= 1e-12 * scale
+            assert s == pytest.approx(c @ P @ c + r, rel=1e-14)
+
+    @pytest.mark.parametrize("n", [1, 2, 4])
+    def test_stack_equals_rows_bit_for_bit(self, n):
+        # worker-count invariance rests on every row being computed alone
+        rng = np.random.default_rng(10 + n)
+        rows = 37
+        P = random_psd(rng, n, rows)
+        c = rng.standard_normal(n)
+        t = np.where(rng.random(rows) < 0.5, 1.0, DROP_SHRINK)
+        Pc, s = innovation_terms(P, c, 0.3)
+        out, gain = weighted_update(P, Pc, s, t)
+        for row in range(rows):
+            Pc_r, s_r = innovation_terms(P[row], c, 0.3)
+            out_r, gain_r = weighted_update(P[row], Pc_r, s_r, t[row])
+            assert np.array_equal(Pc[row], Pc_r) and s[row] == s_r
+            assert np.array_equal(out[row], out_r)
+            assert np.array_equal(gain[row], gain_r)
+
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_output_exactly_symmetric(self, n):
+        rng = np.random.default_rng(20 + n)
+        P = random_psd(rng, n, 50)
+        Pc, s = innovation_terms(P, rng.standard_normal(n), 0.7)
+        out, _ = weighted_update(P, Pc, s, DROP_SHRINK)
+        assert np.array_equal(out, np.swapaxes(out, -1, -2))

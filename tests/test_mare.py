@@ -132,6 +132,21 @@ class TestBasicMaps:
         assert got == pytest.approx(0.3693181818181818, rel=1e-12)
 
 
+@hst.composite
+def envelope_cases(draw):
+    """X >= 0 of any rank and scale 1e-2..1e2, a slot (c, r > 0), a rate
+    and an arbitrary gain L."""
+    n = draw(hst.integers(1, 4))
+    rng = np.random.default_rng(draw(hst.integers(0, 2**32 - 1)))
+    B = rng.standard_normal((n, draw(hst.integers(1, n))))
+    X = 10.0 ** draw(hst.floats(-2.0, 2.0)) * (B @ B.T)
+    c = rng.standard_normal(n)
+    r = draw(hst.floats(0.05, 10.0))
+    rate = draw(hst.floats(0.0, 1.0))
+    L = 10.0 ** draw(hst.floats(-2.0, 1.0)) * rng.standard_normal(n)
+    return X, c, r, rate, L
+
+
 class TestGainEnvelope:
     def test_zero_gain_is_identity(self):
         X = np.array([[2.0, 0.1], [0.1, 1.0]])
@@ -161,6 +176,17 @@ class TestGainEnvelope:
             L = rng.standard_normal(n)
             gap = gain_envelope(L, X, rate, c, r) - partial_update(X, rate, c, r)
             assert min_eig(gap) >= -1e-10
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=envelope_cases())
+    def test_envelope_dominates_map_property(self, case):
+        # the gap is rate * s * (L - L*)(L - L*)' >= 0, zero at L = L*
+        X, c, r, rate, L = case
+        tol = 1e-10 * (1.0 + np.max(np.abs(X)))
+        mapped = partial_update(X, rate, c, r)
+        assert min_eig(gain_envelope(L, X, rate, c, r) - mapped) >= -tol
+        L_opt = -X @ c / (c @ X @ c + r)
+        assert np.max(np.abs(gain_envelope(L_opt, X, rate, c, r) - mapped)) <= tol
 
 
 class TestMixtureWeights:

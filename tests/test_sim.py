@@ -1,7 +1,5 @@
 """Closed-loop engine: reproducibility, consistency, and the sandwich."""
 
-import os
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -98,16 +96,20 @@ class TestDeterminism:
             reordered = covs[perm].mean(axis=0)
             assert np.max(np.abs(reordered - summ.mean_P)) <= 1e-13
 
-    def test_worker_count_does_not_change_results(self):
-        try:
-            os.environ["SCHEDKF_WORKERS"] = "1"
-            s1 = monte_carlo(EXAMPLE, example_cfg(), 40, trials=37, master_seed=21)
-            os.environ["SCHEDKF_WORKERS"] = "4"
-            s4 = monte_carlo(EXAMPLE, example_cfg(), 40, trials=37, master_seed=21)
-        finally:
-            os.environ.pop("SCHEDKF_WORKERS", None)
-        assert np.array_equal(s1.mean_P, s4.mean_P)
-        assert np.array_equal(s1.high_rate_per_step, s4.high_rate_per_step)
+    def test_worker_count_does_not_change_results(self, monkeypatch):
+        # 37 trials split into uneven chunks; scalar and dense PSD floors
+        keys = ("mean_P", "se_P", "empirical_cov", "energy_per_step",
+                "high_rate_per_step")
+        for sysm, cfg in ((EXAMPLE, example_cfg()),
+                          (OP_LEVEL_SYSTEM, OP_LEVEL_CFG)):
+            monkeypatch.delenv("SCHEDKF_WORKERS", raising=False)
+            ref = monte_carlo(sysm, cfg, 40, trials=37, master_seed=21)
+            for workers in ("2", "4"):
+                monkeypatch.setenv("SCHEDKF_WORKERS", workers)
+                got = monte_carlo(sysm, cfg, 40, trials=37, master_seed=21)
+                for key in keys:
+                    assert np.array_equal(getattr(got, key), getattr(ref, key)), \
+                        (workers, key)
 
 
 class TestEngineConsistency:

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 from scipy.integrate import quad
 
 from schedkf import component_stats, q_tail, threshold_for_rate
@@ -150,3 +152,18 @@ class TestThresholdForRate:
             threshold_for_rate(1.1, 0.3)
         with pytest.raises(ValueError):
             threshold_for_rate(0.5, 1.0)
+
+
+@hst.composite
+def rate_targets(draw):
+    beta = draw(hst.floats(0.05, 0.95))
+    return beta, draw(hst.floats(beta, 1.0, exclude_min=True))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=rate_targets())
+def test_threshold_for_rate_round_trips(case):
+    beta, lam = case
+    tol = 1e-10
+    th = threshold_for_rate(lam, beta, tol=tol)
+    assert abs(component_stats(th, beta).info_rate - lam) <= tol
