@@ -1,6 +1,7 @@
-"""Small symmetric-matrix helpers shared across the package: the one
-weighted rank-one covariance update of the filter, the batched engine and
-the Riccati operator, and the PSD guard, which runs once per step."""
+"""Small symmetric-matrix helpers shared across the package: the one time
+update and the one weighted rank-one covariance update of the filter, the
+batched engine and the Riccati operator, and the PSD guard, which runs
+once per step."""
 
 from __future__ import annotations
 
@@ -22,6 +23,13 @@ def sym(M: np.ndarray) -> np.ndarray:
 def min_eig(M: np.ndarray) -> float:
     """Smallest eigenvalue of the symmetric part of M."""
     return float(np.linalg.eigvalsh(sym(M))[..., 0])
+
+
+def time_update(P: np.ndarray, A: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """sym(A P A' + Q), row by row over any leading batch axes of P.
+    ``matmul`` computes every row of a stack as it would compute that row
+    alone, so a batch of one gives the same bits as the full batch."""
+    return sym(A @ P @ A.T + Q)
 
 
 def innovation_terms(P: np.ndarray, c: np.ndarray, r) -> tuple:

@@ -250,8 +250,9 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="schedkf",
         description="Power-scheduled sequential Kalman filtering experiments",
-        epilog="SCHEDKF_WORKERS splits the Monte Carlo batch into chunks; "
-               "results are identical for any worker count.",
+        epilog="simulate runs its trials in fixed blocks of 1024 and keeps "
+               "running sums, so peak memory does not grow with --trials; "
+               "results depend only on the config and the seed.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -14,8 +14,10 @@ scheduler's silence reveals that the normalized innovation stayed inside
 of that truncation.  All of this is exact under the running assumption
 that the predicted conditional density is Gaussian.
 
-The correction is ``_linalg.weighted_update``, shared with the engine and
-the Riccati operator; ``step`` runs the PSD floor once, after the slots.
+The time update and the correction are ``_linalg.time_update`` and
+``_linalg.weighted_update``, shared with the engine and the Riccati
+operator; ``step`` computes each slot's terms once and runs the PSD floor
+once, after the slots.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._linalg import innovation_terms, psd_floor, sym, weighted_update
+from ._linalg import innovation_terms, psd_floor, time_update, weighted_update
 from .model import LinearSystem
 from .stats import ComponentStats
 
@@ -89,9 +91,8 @@ class SlotTrace:
 
 def predict(state: FilterState, sys: LinearSystem) -> FilterState:
     """Time update: x <- A x, P <- A P A' + Q."""
-    x = sys.A @ state.x
-    P = sym(sys.A @ state.P @ sys.A.T + sys.Q)
-    return FilterState(x=x, P=P, k=state.k + 1)
+    return FilterState(x=sys.A @ state.x, P=time_update(state.P, sys.A, sys.Q),
+                       k=state.k + 1)
 
 
 def innovation_stats(state: FilterState, sys: LinearSystem,
@@ -102,15 +103,14 @@ def innovation_stats(state: FilterState, sys: LinearSystem,
     normalized innovation is always well defined.
     """
     c = sys.C[index]
-    z_pred = float(c @ state.x)
-    var = float(c @ state.P @ c + sys.R[index, index])
-    return z_pred, float(np.sqrt(var))
+    _, s_var = innovation_terms(state.P, c, sys.R[index, index])
+    return float(c @ state.x), float(np.sqrt(s_var))
 
 
-def update_component(state: FilterState, sys: LinearSystem, slot: SlotUpdate,
-                     stats_i: ComponentStats) -> FilterState:
-    """One sequential measurement update with the three-branch weighting
-    (no PSD floor: ``step`` applies it once, after the last slot)."""
+def _slot(x: np.ndarray, P: np.ndarray, sys: LinearSystem, slot: SlotUpdate,
+          stats_i: ComponentStats):
+    """One slot's update from one ``innovation_terms`` call: the new mean
+    and covariance plus the slot's ``SlotTrace``."""
     delivered = slot.delivered
     if delivered and slot.value is None:
         raise ValueError("slot marked delivered but carries no value")
@@ -118,10 +118,23 @@ def update_component(state: FilterState, sys: LinearSystem, slot: SlotUpdate,
         raise ValueError("slot carries a value but was not delivered")
 
     c = sys.C[slot.index]
-    Pc, s_var = innovation_terms(state.P, c, sys.R[slot.index, slot.index])
+    Pc, s_var = innovation_terms(P, c, sys.R[slot.index, slot.index])
     t = 1.0 if delivered else stats_i.drop_shrink
-    P, gain = weighted_update(state.P, Pc, s_var, t)
-    x = state.x + gain * (slot.value - float(c @ state.x)) if delivered else state.x
+    P, gain = weighted_update(P, Pc, s_var, t)
+    sigma = float(np.sqrt(s_var))
+    innov = None
+    if delivered:
+        resid = slot.value - float(c @ x)
+        innov = resid / sigma
+        x = x + gain * resid
+    return x, P, SlotTrace(sigma=sigma, innovation=innov, gain=gain)
+
+
+def update_component(state: FilterState, sys: LinearSystem, slot: SlotUpdate,
+                     stats_i: ComponentStats) -> FilterState:
+    """One sequential measurement update with the three-branch weighting
+    (no PSD floor: ``step`` applies it once, after the last slot)."""
+    x, P, _ = _slot(state.x, state.P, sys, slot, stats_i)
     return FilterState(x=x, P=P, k=state.k)
 
 
@@ -137,15 +150,13 @@ def step(state: FilterState, sys: LinearSystem, slots: Sequence[SlotUpdate],
     if len(slots) != sys.m or len(stats) != sys.m:
         raise ValueError(f"expected {sys.m} slots and stats, got "
                          f"{len(slots)} and {len(stats)}")
-    st = predict(state, sys)
+    x = sys.A @ state.x
+    P = time_update(state.P, sys.A, sys.Q)
     traces: list[SlotTrace] = []
     for i, slot in enumerate(slots):
         if slot.index != i:
             raise ValueError(f"slots must be ordered 0..m-1; slot {i} has "
                              f"index {slot.index}")
-        z_pred, sigma = innovation_stats(st, sys, i)
-        innov = None if slot.value is None else (slot.value - z_pred) / sigma
-        traces.append(SlotTrace(sigma=sigma, innovation=innov,
-                                gain=st.P @ sys.C[i] / (sigma * sigma)))
-        st = update_component(st, sys, slot, stats[i])
-    return FilterState(x=st.x, P=psd_floor(st.P), k=st.k), traces
+        x, P, trace = _slot(x, P, sys, slot, stats[i])
+        traces.append(trace)
+    return FilterState(x=x, P=psd_floor(P), k=state.k + 1), traces

@@ -42,6 +42,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from . import _linalg
 from ._linalg import innovation_terms, min_eig, sym, weighted_update
 from .model import LinearSystem, is_diagonal
 
@@ -90,8 +91,8 @@ class MareProblem:
 
 
 def time_update(X: np.ndarray, sys: LinearSystem) -> np.ndarray:
-    """A X A' + Q, symmetrized."""
-    return sym(sys.A @ X @ sys.A.T + sys.Q)
+    """A X A' + Q, symmetrized (``_linalg.time_update``)."""
+    return _linalg.time_update(X, sys.A, sys.Q)
 
 
 def partial_update(X: np.ndarray, rate: float, c: np.ndarray,

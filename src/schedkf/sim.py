@@ -2,9 +2,10 @@
 
 One trial couples the true plant, the sensor-side scheduler, the lossy
 channel, and the remote estimator for a fixed horizon.  Trials are
-vectorized: ``monte_carlo`` runs every trial simultaneously with batched
-array operations, which keeps tens of thousands of trials affordable
-while preserving per-trial reproducibility.
+vectorized: ``monte_carlo`` runs them in fixed blocks of ``_BLOCK`` trials
+with batched array operations and folds each block into running
+aggregates, which keeps tens of thousands of trials affordable in time
+and memory while preserving per-trial reproducibility.
 
 The loop is integrated in error coordinates e = x_true - x_estimate.
 Innovations, scheduler decisions, gains, and covariances are all exact
@@ -13,7 +14,8 @@ numerical survival on unstable plants, where the absolute state outgrows
 double precision long before the error statistics do (for |A| ~ 1.2 the
 measurement noise drops below the ulp of the state near step 190).
 
-Slot updates are ``_linalg.weighted_update``, as in the scalar filter.
+Time and slot updates are ``_linalg.time_update`` and
+``_linalg.weighted_update``, as in the scalar filter.
 The PSD guard ``_linalg.psd_floor`` runs once per step, on the stored
 covariance, as in ``filter.step``: one batched Cholesky certifies the
 stack, and the eigenvalue repair touches only round-off negative rows.
@@ -30,20 +32,21 @@ consumes, in this order,
 Arrival uniforms are drawn for every slot and simply ignored on
 high-power slots, so the stream position never depends on scheduler
 decisions.  ``simulate_trial`` is the same engine with a batch of one,
-and trial seeds derive from ``derive_trial_seed(master_seed, index)``,
-so worker chunking cannot change any result.
+and trial seeds derive from ``derive_trial_seed(master_seed, index)``.
+Every row of a batch is computed as it would be alone, and the block
+size is a constant, so the summary depends only on the config and the
+master seed.
 """
 
 from __future__ import annotations
 
 import math
-import os
-import warnings
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
 
+from . import _linalg
 from ._linalg import innovation_terms, psd_factor, psd_floor, sym, weighted_update
 from .channel import SchedulerConfig, SlotOutcome, derive_trial_seed, scheduler_stats
 from .mare import DEFAULT_TRACE_CEILING, MareProblem, riccati_map, time_update
@@ -54,9 +57,6 @@ __all__ = [
     "simulate_trial", "monte_carlo", "bound_check",
     "write_summary_csv", "summary_json_dict",
 ]
-
-WORKERS_ENV_VAR = "SCHEDKF_WORKERS"
-
 
 @dataclass
 class TrialRecord:
@@ -180,9 +180,7 @@ def _run_batch(sys: LinearSystem, cfg: SchedulerConfig, horizon: int,
     r_diag = sys.r_diag()
     for k in range(1, K + 1):
         e = np.einsum("ij,tj->ti", sys.A, e) + w_noise[:, k - 1]
-        P = np.einsum("ij,tjk->tik", sys.A, P)
-        P = np.einsum("tik,jk->tij", P, sys.A) + sys.Q
-        P = sym(P)
+        P = _linalg.time_update(P, sys.A, sys.Q)
         for i in range(m):
             c = sys.C[i]
             Pc, s_var = innovation_terms(P, c, r_diag[i])
@@ -252,15 +250,89 @@ def _nanmean_or_nan(arr: np.ndarray) -> float:
     return float(finite.mean()) if finite.size else math.nan
 
 
-def _worker_chunks(n_trials: int) -> int:
-    workers = os.environ.get(WORKERS_ENV_VAR)
-    if not workers:
-        return 1
-    try:
-        count = max(1, int(workers))
-    except ValueError:
-        return 1
-    return min(count, n_trials)
+# Trials per ``_run_batch`` call in ``monte_carlo``.  It is fixed, so the
+# summary depends on nothing but the inputs; cache-sized blocks also run
+# faster than one batch of every trial.
+_BLOCK = 1024
+
+
+class _Totals:
+    """Running per-step aggregates over blocks of trials.
+
+    Within a block, the covariance mean and sum of squared deviations M2
+    take two passes; blocks then merge with the pairwise update of Chan,
+    Golub & LeVeque (The American Statistician 37(3), 1983), which
+    extends Welford's online variance (Technometrics 4(3), 1962):
+
+        delta = mean_b - mean,  mean += delta n_b / n,
+        M2 += M2_b + delta^2 n_a n_b / n,   n = n_a + n_b.
+
+    A step counts only the trials still live there (not yet truncated).
+    ``add`` only reads the block's arrays, so records sharing them stay
+    intact.
+    """
+
+    def __init__(self, horizon: int, n: int, m: int):
+        K = horizon
+        self.count = np.zeros(K + 1, dtype=np.int64)
+        self.mean_P = np.zeros((K + 1, n, n))
+        self.m2_P = np.zeros((K + 1, n, n))
+        self.outer = np.zeros((K + 1, n, n))
+        self.energy = np.zeros(K)
+        self.high = np.zeros((K, m), dtype=np.int64)
+        self.truncated = 0
+
+    def add(self, raw: dict) -> None:
+        covs, errors = raw["covs"], raw["errors"]
+        trunc = raw["truncated_at"]
+        steps = covs.shape[1]
+        live = np.arange(steps) < np.where(trunc < 0, steps, trunc)[:, None]
+        energy = raw["energy"].sum(axis=2)
+        all_live = bool(live.all())
+        if not all_live:
+            # truncated tails are NaN; zero them so that the sums skip them
+            covs = np.where(live[:, :, None, None], covs, 0.0)
+            errors = np.where(live[:, :, None], errors, 0.0)
+            energy = np.where(live[:, 1:], energy, 0.0)
+
+        n_b = live.sum(axis=0)
+        mean_b = covs.sum(axis=0) / np.maximum(n_b, 1)[:, None, None]
+        dev = covs - mean_b
+        if not all_live:
+            dev[~live] = 0.0
+        n_ab = self.count + n_b
+        w = (n_b / np.maximum(n_ab, 1))[:, None, None]
+        delta = mean_b - self.mean_P
+        self.mean_P += delta * w
+        self.m2_P += (np.einsum("tkij,tkij->kij", dev, dev)
+                      + delta * delta * (self.count[:, None, None] * w))
+        self.count = n_ab
+
+        self.outer += np.einsum("tki,tkj->kij", errors, errors)
+        self.energy += energy.sum(axis=0)
+        self.high += (raw["high"] & live[:, 1:, None]).sum(axis=0)
+        self.truncated += int(np.count_nonzero(trunc >= 0))
+
+    def summary(self, horizon: int, trials: int, master_seed: int,
+                records: Optional[list]) -> MonteCarloSummary:
+        # Steps where every trial truncated aggregate to NaN, which is the
+        # honest answer there.
+        dead = (self.count == 0)[:, None, None]
+        n = np.maximum(self.count, 1)[:, None, None]
+        slots = np.where(self.count[1:] > 0, self.count[1:], np.nan)
+        energy_per_step = self.energy / slots
+        return MonteCarloSummary(
+            horizon=horizon, trials=trials, master_seed=int(master_seed),
+            mean_P=np.where(dead, np.nan, self.mean_P),
+            empirical_cov=np.where(dead, np.nan, self.outer / n),
+            se_P=np.where(dead, np.nan, np.sqrt(self.m2_P / n) / np.sqrt(n)),
+            mean_energy_per_step=_nanmean_or_nan(energy_per_step),
+            energy_per_step=energy_per_step,
+            high_power_rate=self.high.sum(axis=0) / (self.count[1:].sum() or np.nan),
+            high_rate_per_step=self.high / slots[:, None],
+            truncated_trials=self.truncated,
+            records=records,
+        )
 
 
 def monte_carlo(sys: LinearSystem, cfg: SchedulerConfig, horizon: int,
@@ -270,12 +342,11 @@ def monte_carlo(sys: LinearSystem, cfg: SchedulerConfig, horizon: int,
     """Aggregate ``trials`` independent closed-loop runs.
 
     Per-trial seeds are derived from the master seed, so the summary is
-    reproducible bit for bit.  The SCHEDKF_WORKERS environment variable
-    only splits the batch into chunks that run one after another; every
-    per-trial computation is row-local, so the worker count cannot
-    change any number in the summary.  The chunks' arrays are
-    concatenated before aggregation, so chunking does not lower peak
-    memory (it raises it by the copy).
+    reproducible bit for bit.  Trials run in fixed blocks of ``_BLOCK``,
+    in trial order; each block adds to running per-step aggregates and is
+    then dropped, so peak memory is set by the block size, not by the
+    trial count.  ``keep_trials`` keeps every trial's ``TrialRecord``, and
+    with them every block's arrays.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -283,54 +354,15 @@ def monte_carlo(sys: LinearSystem, cfg: SchedulerConfig, horizon: int,
         raise ValueError(f"horizon must be >= 1, got {horizon}")
 
     seeds = [derive_trial_seed(master_seed, t) for t in range(trials)]
-    chunks = _worker_chunks(trials)
-    if chunks == 1:
-        raw = _run_batch(sys, cfg, horizon, seeds, trace_ceiling)
-    else:
-        size = math.ceil(trials / chunks)
-        parts = [_run_batch(sys, cfg, horizon, seeds[lo:lo + size], trace_ceiling)
-                 for lo in range(0, trials, size)]
-        raw = {key: np.concatenate([p[key] for p in parts]) for key in parts[0]}
-
-    errors = raw["errors"]
-    covs = raw["covs"]
-    # Truncated trials leave NaN tails; steps where every trial truncated
-    # aggregate to NaN, which is the honest answer there.
-    with np.errstate(invalid="ignore"), warnings.catch_warnings():
-        warnings.filterwarnings("ignore", "Mean of empty slice")
-        warnings.filterwarnings("ignore", "Degrees of freedom")
-        mean_P = np.nanmean(covs, axis=0)
-        std_P = np.nanstd(covs, axis=0, ddof=0)
-        counts = np.sum(~np.isnan(covs[:, :, 0, 0]), axis=0)
-        se_P = std_P / np.sqrt(np.maximum(counts, 1))[:, None, None]
-
-        outer = errors[:, :, :, None] * errors[:, :, None, :]
-        empirical_cov = np.nanmean(outer, axis=0)
-
-        valid = ~np.isnan(errors[:, 1:, 0])
-        energy_steps = raw["energy"].sum(axis=2)
-        energy_per_step = np.where(valid, energy_steps, np.nan)
-        energy_per_step = np.nanmean(energy_per_step, axis=0)
-        high = raw["high"].astype(float)
-        high = np.where(valid[:, :, None], high, np.nan)
-        high_rate_per_step = np.nanmean(high, axis=0)
-        high_power_rate = np.nanmean(high, axis=(0, 1))
-
-    truncated = int(np.sum(raw["truncated_at"] >= 0))
-    records = None
-    if keep_trials:
-        records = [_make_record(raw, t, seeds[t]) for t in range(trials)]
-
-    return MonteCarloSummary(
-        horizon=horizon, trials=trials, master_seed=int(master_seed),
-        mean_P=mean_P, empirical_cov=empirical_cov, se_P=se_P,
-        mean_energy_per_step=float(_nanmean_or_nan(energy_per_step)),
-        energy_per_step=energy_per_step,
-        high_power_rate=high_power_rate,
-        high_rate_per_step=high_rate_per_step,
-        truncated_trials=truncated,
-        records=records,
-    )
+    totals = _Totals(horizon, sys.n, sys.m)
+    records = [] if keep_trials else None
+    for lo in range(0, trials, _BLOCK):
+        block = seeds[lo:lo + _BLOCK]
+        raw = _run_batch(sys, cfg, horizon, block, trace_ceiling)
+        totals.add(raw)
+        if keep_trials:
+            records.extend(_make_record(raw, t, seed) for t, seed in enumerate(block))
+    return totals.summary(horizon, trials, master_seed, records)
 
 
 @dataclass

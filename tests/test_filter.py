@@ -199,6 +199,44 @@ class TestStep:
         with pytest.raises(ValueError):
             step(st, sysm, wrong, stats)
 
+    def test_slot_trace_matches_written_out_terms(self):
+        # sigma = sqrt(c'Pc + r), gain = Pc / (c'Pc + r) and the normalized
+        # innovation, at each slot's own prior, with the slots in between
+        # applied by hand
+        rng = np.random.default_rng(11)
+        sysm = random_observable_system(rng, 3, 3)
+        stats = [component_stats(1.0, 0.5)] * 3
+        st = FilterState.initial(sysm)
+        for _ in range(20):
+            deliver = rng.random(3) < 0.5
+            y = rng.standard_normal(3)
+            slots = [SlotUpdate(i, float(y[i]) if deliver[i] else None,
+                                bool(deliver[i]), bool(deliver[i]))
+                     for i in range(3)]
+            x = sysm.A @ st.x
+            P = sysm.A @ st.P @ sysm.A.T + sysm.Q
+            out, traces = step(st, sysm, slots, stats)
+            for i, trace in enumerate(traces):
+                c, r = sysm.C[i], sysm.R[i, i]
+                s = c @ P @ c + r
+                gain = P @ c / s
+                scale = 1.0 + np.max(np.abs(P))
+                assert abs(trace.sigma - np.sqrt(s)) <= 1e-12 * scale
+                assert np.max(np.abs(trace.gain - gain)) <= 1e-12 * scale
+                if deliver[i]:
+                    resid = y[i] - c @ x
+                    assert trace.innovation == pytest.approx(resid / np.sqrt(s),
+                                                             rel=1e-12, abs=1e-12)
+                    x = x + gain * resid
+                    P = P - np.outer(gain, c @ P)
+                else:
+                    assert trace.innovation is None
+                    P = P - stats[i].drop_shrink * np.outer(gain, c @ P)
+            assert np.max(np.abs(out.x - x)) <= 1e-12 * (1.0 + np.max(np.abs(x)))
+            assert np.max(np.abs(out.P - P)) <= 1e-12 * (1.0 + np.max(np.abs(P)))
+            assert out.k == st.k + 1
+            st = out
+
     def test_shrink_weight_stays_in_range(self):
         # weight t is drop_shrink on silent slots and 1 otherwise, so the
         # covariance decrement is bracketed by the two pure cases

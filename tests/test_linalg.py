@@ -1,7 +1,7 @@
 """The shared PSD floor: when it fires, when it must not, and that its
 Cholesky certificate never skips a row the eigenvalue floor would fix.
-The weighted rank-one update kernel against a textbook update, on stacks
-and single rows."""
+The weighted rank-one update kernel against a textbook update, and it and
+the time update on stacks against single rows."""
 
 import numpy as np
 import pytest
@@ -12,6 +12,7 @@ from schedkf._linalg import (
     innovation_terms,
     psd_floor,
     sym,
+    time_update,
     weighted_update,
 )
 
@@ -137,7 +138,8 @@ class TestWeightedUpdate:
 
     @pytest.mark.parametrize("n", [1, 2, 4])
     def test_stack_equals_rows_bit_for_bit(self, n):
-        # worker-count invariance rests on every row being computed alone
+        # records from a batch equal simulate_trial because every row is
+        # computed as it would be alone
         rng = np.random.default_rng(10 + n)
         rows = 37
         P = random_psd(rng, n, rows)
@@ -151,6 +153,21 @@ class TestWeightedUpdate:
             assert np.array_equal(Pc[row], Pc_r) and s[row] == s_r
             assert np.array_equal(out[row], out_r)
             assert np.array_equal(gain[row], gain_r)
+
+    @pytest.mark.parametrize("n", [1, 2, 4])
+    def test_time_update_stack_equals_rows_bit_for_bit(self, n):
+        # the engine's batch and the filter's batch of one share these bits
+        rng = np.random.default_rng(30 + n)
+        rows = 37
+        P = random_psd(rng, n, rows)
+        A = rng.standard_normal((n, n))
+        Q = random_psd(rng, n)
+        out = time_update(P, A, Q)
+        want = np.einsum("ij,tjk,lk->til", A, P, A) + Q
+        assert np.max(np.abs(out - want)) <= 1e-12 * np.max(np.abs(want))
+        for row in range(rows):
+            assert np.array_equal(out[row], time_update(P[row], A, Q))
+        assert np.array_equal(out, np.swapaxes(out, -1, -2))
 
     @pytest.mark.parametrize("n", [2, 4])
     def test_output_exactly_symmetric(self, n):

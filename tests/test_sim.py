@@ -1,4 +1,8 @@
-"""Closed-loop engine: reproducibility, consistency, and the sandwich."""
+"""Closed-loop engine: reproducibility, consistency, the streamed
+Monte Carlo summary, and the sandwich."""
+
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -25,6 +29,7 @@ from schedkf import (
     update_component,
     whiten,
 )
+from schedkf import sim
 from schedkf._linalg import psd_factor
 from schedkf.sim import _trial_noise
 from test_filter import random_observable_system
@@ -97,7 +102,8 @@ class TestDeterminism:
             assert np.max(np.abs(reordered - summ.mean_P)) <= 1e-13
 
     def test_worker_count_does_not_change_results(self, monkeypatch):
-        # 37 trials split into uneven chunks; scalar and dense PSD floors
+        # SCHEDKF_WORKERS is not read: the block size is fixed, so any
+        # value gives the same bits; scalar and dense PSD floors
         keys = ("mean_P", "se_P", "empirical_cov", "energy_per_step",
                 "high_rate_per_step")
         for sysm, cfg in ((EXAMPLE, example_cfg()),
@@ -110,6 +116,100 @@ class TestDeterminism:
                 for key in keys:
                     assert np.array_equal(getattr(got, key), getattr(ref, key)), \
                         (workers, key)
+
+
+SUMMARY_FIELDS = ("mean_P", "se_P", "empirical_cov", "energy_per_step",
+                  "high_rate_per_step", "high_power_rate")
+
+
+def full_array_summary(records):
+    """Independent oracle: NaN-aware reductions over the stacked records."""
+    covs = np.stack([r.covariances for r in records])
+    errors = np.stack([r.errors for r in records])
+    count = np.sum(~np.isnan(covs[:, :, 0, 0]), axis=0)
+    valid = ~np.isnan(errors[:, 1:, 0])
+    energy = np.where(valid, np.stack([r.step_energy() for r in records]), np.nan)
+    high = np.where(valid[:, :, None],
+                    np.stack([r.high_power for r in records]).astype(float), np.nan)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        return {
+            "mean_P": np.nanmean(covs, axis=0),
+            "se_P": (np.nanstd(covs, axis=0, ddof=0)
+                     / np.sqrt(np.maximum(count, 1))[:, None, None]),
+            "empirical_cov": np.nanmean(errors[:, :, :, None]
+                                        * errors[:, :, None, :], axis=0),
+            "energy_per_step": np.nanmean(energy, axis=0),
+            "high_rate_per_step": np.nanmean(high, axis=0),
+            "high_power_rate": np.nanmean(high, axis=(0, 1)),
+        }
+
+
+class TestStreamedSummary:
+    # Rates far below the critical ones and a low ceiling: trials truncate
+    # at different steps.  At horizon 40 some survive; at horizon 60 all
+    # truncate, so the last steps have no live trial anywhere.
+    CFG = SchedulerConfig.from_rates([0.1, 0.1], arrival_prob=0.02)
+    CEILING = 50.0
+
+    @pytest.mark.parametrize("horizon", [40, 60])
+    def test_matches_full_array_oracle(self, monkeypatch, horizon):
+        trials, block = 37, 8
+        default = monte_carlo(EXAMPLE, self.CFG, horizon, trials=trials,
+                              master_seed=4, trace_ceiling=self.CEILING)
+        monkeypatch.setattr(sim, "_BLOCK", block)
+        summ = monte_carlo(EXAMPLE, self.CFG, horizon, trials=trials,
+                           master_seed=4, trace_ceiling=self.CEILING,
+                           keep_trials=True)
+
+        # the case is the one intended: uneven last block, truncation
+        # inside a block, and a step dead in one block but live in another
+        stop = np.array([horizon + 1 if r.truncated_at is None
+                         else r.truncated_at for r in summ.records])
+        live = np.arange(horizon + 1) < stop[:, None]
+        per_block = np.stack([live[lo:lo + block].sum(axis=0)
+                              for lo in range(0, trials, block)])
+        assert trials % block != 0
+        assert np.any((per_block > 0) & (per_block < 8))
+        assert np.any((per_block == 0).any(axis=0) & (per_block > 0).any(axis=0))
+
+        want = full_array_summary(summ.records)
+        for key in SUMMARY_FIELDS:
+            np.testing.assert_allclose(getattr(summ, key), want[key], rtol=1e-13,
+                                       atol=0.0, equal_nan=True, err_msg=key)
+            np.testing.assert_allclose(getattr(summ, key), getattr(default, key),
+                                       rtol=1e-13, atol=0.0, equal_nan=True,
+                                       err_msg=key)
+        assert np.array_equal(summ.high_rate_per_step, default.high_rate_per_step,
+                              equal_nan=True)
+        assert summ.truncated_trials == default.truncated_trials == np.sum(stop <= horizon)
+        if horizon == 60:
+            assert np.isnan(summ.mean_P[-1]).all()
+            assert np.isnan(summ.se_P[-1]).all()
+
+        for t, rec in enumerate(summ.records):
+            ref = simulate_trial(EXAMPLE, self.CFG, horizon,
+                                 seed=derive_trial_seed(4, t),
+                                 trace_ceiling=self.CEILING)
+            assert rec.seed == ref.seed and rec.truncated_at == ref.truncated_at
+            for key in ("errors", "covariances", "high_power", "arrived",
+                        "delivered", "innovations", "energy"):
+                assert np.array_equal(getattr(rec, key), getattr(ref, key),
+                                      equal_nan=True), (t, key)
+
+    def test_peak_memory_is_set_by_the_block(self, monkeypatch):
+        monkeypatch.setattr(sim, "_BLOCK", 64)
+
+        def peak(trials):
+            tracemalloc.start()
+            try:
+                monte_carlo(OP_LEVEL_SYSTEM, OP_LEVEL_CFG, 100, trials=trials,
+                            master_seed=9)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(16 * 64) <= 1.25 * peak(4 * 64)
 
 
 class TestEngineConsistency:
