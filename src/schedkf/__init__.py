@@ -1,6 +1,6 @@
 """Power-scheduled sequential Kalman filtering over packet-dropping links.
 
-The package couples four pieces:
+The package couples seven modules:
 
 * ``model``    plant definition, structural checks, measurement whitening
 * ``stats``    Gaussian-tail statistics of the innovation scheduler
@@ -19,9 +19,7 @@ from .channel import (
     SlotOutcome,
     derive_trial_seed,
     energy_ledger,
-    schedule,
     scheduler_stats,
-    transmit,
 )
 from .filter import (
     FilterState,
@@ -74,8 +72,7 @@ __all__ = [
     "FilterState", "SlotUpdate", "SlotTrace",
     "predict", "innovation_stats", "update_component", "step",
     "SchedulerConfig", "SlotOutcome", "EnergyLedger",
-    "schedule", "transmit", "energy_ledger", "scheduler_stats",
-    "derive_trial_seed",
+    "energy_ledger", "scheduler_stats", "derive_trial_seed",
     "MareProblem", "MareReport", "FixedPointResult", "NecessaryCheck",
     "Certificate", "SufficientCheck",
     "time_update", "partial_update", "update_cascade", "riccati_map",

@@ -1,10 +1,14 @@
 """Sensor-side power scheduling and the lossy low-power channel.
 
 Each measurement slot makes a two-level power choice: innovations whose
-normalized magnitude exceeds the slot threshold are sent at high power
-(always delivered), everything else at low power (delivered with
-probability ``arrival_prob``).  Acknowledgements are modeled as perfect:
-the estimator always learns the (high_power, arrived) pair.
+normalized magnitude strictly exceeds the slot threshold are sent at
+high power (always delivered), everything else at low power (delivered
+with probability ``arrival_prob``).  Acknowledgements are modeled as
+perfect: the estimator always learns the (high_power, arrived) pair.
+
+The decision and the arrival draw are made, for whole batches of trials,
+in ``sim._run_batch``; this module holds the scheduler configuration,
+its per-slot statistics, the energy accounting and the trial seeds.
 """
 
 from __future__ import annotations
@@ -18,8 +22,7 @@ import numpy as np
 from .stats import ComponentStats, component_stats, threshold_for_rate
 
 __all__ = [
-    "SchedulerConfig", "SlotOutcome", "EnergyLedger",
-    "schedule", "transmit", "energy_ledger",
+    "SchedulerConfig", "SlotOutcome", "EnergyLedger", "energy_ledger",
     "scheduler_stats", "derive_trial_seed",
 ]
 
@@ -73,36 +76,10 @@ class SlotOutcome:
     """What happened in one transmission slot."""
 
     high_power: bool       # scheduler chose the high-power path
-    arrived: bool          # delivery bit; forced True on the high-power path
+    arrived: bool          # low-power arrival draw; meaningful on low-power slots
     innovation: float      # normalized innovation observed at the sensor
     energy: float
     delivered: bool        # the estimator received the value
-
-
-def schedule(value: float, predicted: float, sigma: float,
-             threshold: float) -> tuple[bool, float]:
-    """Sensor-side power decision for one slot.
-
-    Returns (high_power, innovation) with innovation = (value - predicted)
-    / sigma.  High power is chosen on strict exceedance only, so a
-    borderline |innovation| == threshold goes low power.
-    """
-    if not sigma > 0.0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
-    innovation = (value - predicted) / sigma
-    return bool(abs(innovation) > threshold), innovation
-
-
-def transmit(high_power: bool, arrival_prob: float,
-             rng: np.random.Generator) -> bool:
-    """Channel arrival bit: certain at high power, Bernoulli otherwise.
-
-    The caller owns and seeds ``rng``; one uniform draw is consumed only
-    on the low-power path.
-    """
-    if high_power:
-        return True
-    return bool(rng.random() < arrival_prob)
 
 
 @dataclass(frozen=True)

@@ -43,6 +43,9 @@ EXIT_UNREADABLE = 1
 EXIT_INVALID = 2
 EXIT_TRUNCATED = 3
 
+# Which stability analyses ``analyze`` runs unless the config says otherwise.
+_ANALYSIS_DEFAULTS = {"mare_iterate": True, "necessary": True, "sufficient": True}
+
 
 class ConfigError(ValueError):
     """Semantically invalid experiment configuration."""
@@ -55,8 +58,7 @@ class ExperimentConfig:
     horizon: int
     trials: int
     master_seed: int
-    analysis: dict = field(default_factory=lambda: {
-        "mare_iterate": True, "necessary": True, "sufficient": True})
+    analysis: dict = field(default_factory=lambda: dict(_ANALYSIS_DEFAULTS))
     out_dir: Path = Path("results")
     write_matrices_json: bool = True
     trace_ceiling: float = DEFAULT_TRACE_CEILING
@@ -150,8 +152,7 @@ def parse_config(data: dict) -> ExperimentConfig:
     if trials < 1:
         raise ConfigError(f"trials must be >= 1, got {trials}")
 
-    analysis = {"mare_iterate": True, "necessary": True, "sufficient": True}
-    analysis.update(data.get("analysis", {}))
+    analysis = {**_ANALYSIS_DEFAULTS, **data.get("analysis", {})}
 
     output = data.get("output", {})
     out_dir = Path(output.get("dir", "results"))
@@ -225,11 +226,11 @@ def run_simulate(args) -> int:
 def run_analyze(args) -> int:
     cfg, out = _prepare(args)
     problem = MareProblem(system=cfg.system, info_rates=cfg.info_rates())
-    flags = cfg.analysis
+    flags = {**_ANALYSIS_DEFAULTS, **cfg.analysis}
     report = analyze(problem,
-                     run_iterate=bool(flags.get("mare_iterate", True)),
-                     run_necessary=bool(flags.get("necessary", True)),
-                     run_sufficient=bool(flags.get("sufficient", True)))
+                     run_iterate=bool(flags["mare_iterate"]),
+                     run_necessary=bool(flags["necessary"]),
+                     run_sufficient=bool(flags["sufficient"]))
     payload = report.to_json_dict()
     payload["info_rates"] = cfg.info_rates().tolist()
     _write_json(out / "analysis.json", payload)

@@ -18,6 +18,9 @@ Two checks bracket mean-square stability:
 The envelope functions (gain_envelope, cascade_envelope,
 riccati_envelope) are affine in their matrix argument, touch the
 composite map from above, and coincide with it at the optimal gains.
+Like the map, the cascade envelope is the composition of the per-slot
+gain_envelope in slot order; mixture_weights are the coefficients of
+that composition unrolled into one sum over the slots.
 At fixed gains the envelope is X -> linear_part(X) + riccati_envelope(0)
 with a completely positive linear part, so both questions reduce to
 linear algebra on its n^2 x n^2 matrix: the affine fixed point exists
@@ -103,13 +106,22 @@ def partial_update(X: np.ndarray, rate: float, c: np.ndarray,
     return weighted_update(X, Xc, s, rate)[0]
 
 
+def _cascade(X: np.ndarray, problem: MareProblem,
+             ) -> tuple[np.ndarray, list[np.ndarray]]:
+    """All m partial updates applied to X in slot order, with each slot's
+    gain (X_i c')/(c X_i c' + r) at its running value X_i."""
+    r = problem.system.r_diag()
+    gains: list[np.ndarray] = []
+    for i, rate in enumerate(problem.info_rates):
+        Xc, s = innovation_terms(X, problem.system.C[i], r[i])
+        X, gain = weighted_update(X, Xc, s, rate)
+        gains.append(gain)
+    return X, gains
+
+
 def update_cascade(X: np.ndarray, problem: MareProblem) -> np.ndarray:
     """All m partial updates applied in slot order."""
-    r = problem.system.r_diag()
-    Y = X
-    for i, rate in enumerate(problem.info_rates):
-        Y = partial_update(Y, rate, problem.system.C[i], r[i])
-    return Y
+    return _cascade(X, problem)[0]
 
 
 def riccati_map(X: np.ndarray, problem: MareProblem) -> np.ndarray:
@@ -121,18 +133,17 @@ def gain_envelope(L: np.ndarray, X: np.ndarray, rate: float, c: np.ndarray,
                   r: float) -> np.ndarray:
     """Affine-in-X envelope of one partial update at a fixed gain:
 
-        (1 - rate) X + rate (E X E' + r L L'),   E = I + L c.
+        (1 - rate) X + rate (E X E' + r L L'),   E = I + L c,
 
-    Minimized over L at L = -Xc'(cXc'+r)^{-1}, where it equals
-    partial_update(X).
+    for one (n, n) matrix X or a stack (..., n, n).  Minimized over L at
+    L = -Xc'(cXc'+r)^{-1}, where it equals partial_update(X).
     """
-    n = X.shape[0]
-    E = np.eye(n) + np.outer(L, c)
+    E = np.eye(X.shape[-1]) + np.outer(L, c)
     return sym((1.0 - rate) * X + rate * (E @ X @ E.T + r * np.outer(L, L)))
 
 
 def mixture_weights(rates: Sequence[float], s: int) -> np.ndarray:
-    """Convex weights of the s-slot envelope recursion.
+    """Coefficients of the first s slots of the envelope, unrolled.
 
     weight[j] = lam_j * prod_{i=j+1..s} (1 - lam_i) with the convention
     lam_0 = 1; weight[s] = lam_s.  The s+1 weights sum to one exactly.
@@ -149,30 +160,15 @@ def mixture_weights(rates: Sequence[float], s: int) -> np.ndarray:
     return w
 
 
-def _envelope_tail(vals: list[np.ndarray], gains: Sequence[np.ndarray],
-                   problem: MareProblem, with_noise: bool) -> list[np.ndarray]:
-    """Run the weighted envelope recursion given its two seed matrices.
-
-    vals must hold the stage -1 and stage 0 matrices; stages 1..m are
-    appended.  with_noise=False drops the r L L' terms, which is what
-    makes the recursion the linear part of the full envelope.
-    """
-    sysm = problem.system
-    r = sysm.r_diag()
-    n = problem.n
-    eye = np.eye(n)
-    E = [eye] + [eye + np.outer(gains[j - 1], sysm.C[j - 1])
-                 for j in range(1, problem.m + 1)]
-    for s in range(1, problem.m + 1):
-        w = mixture_weights(problem.info_rates, s)
-        acc = w[0] * vals[0]
-        for j in range(1, s + 1):
-            term = E[j] @ vals[j] @ E[j].T
-            if with_noise:
-                term = term + r[j - 1] * np.outer(gains[j - 1], gains[j - 1])
-            acc = acc + w[j] * term
-        vals.append(sym(acc))
-    return vals
+def _envelope(gains: Sequence[np.ndarray], X: np.ndarray,
+              problem: MareProblem, r: np.ndarray) -> np.ndarray:
+    """gain_envelope of every slot applied to X in slot order, with slot
+    noise variances r (zero for the linear part)."""
+    if len(gains) != problem.m:
+        raise ValueError(f"expected {problem.m} gains, got {len(gains)}")
+    for i, rate in enumerate(problem.info_rates):
+        X = gain_envelope(gains[i], X, rate, problem.system.C[i], r[i])
+    return X
 
 
 def cascade_envelope(gains: Sequence[np.ndarray], X: np.ndarray,
@@ -182,11 +178,8 @@ def cascade_envelope(gains: Sequence[np.ndarray], X: np.ndarray,
     Touches update_cascade(X) at the optimal gains and dominates it for
     every other gain tuple.
     """
-    if len(gains) != problem.m:
-        raise ValueError(f"expected {problem.m} gains, got {len(gains)}")
     X = sym(np.asarray(X, dtype=float))
-    vals = _envelope_tail([X, X], gains, problem, with_noise=True)
-    return vals[-1]
+    return _envelope(gains, X, problem, problem.system.r_diag())
 
 
 def riccati_envelope(gains: Sequence[np.ndarray], X: np.ndarray,
@@ -207,12 +200,9 @@ def linear_part(Y: np.ndarray, gains: Sequence[np.ndarray],
     of this operator at certificate gains is what forces fixed-point
     iterates together.
     """
-    if len(gains) != problem.m:
-        raise ValueError(f"expected {problem.m} gains, got {len(gains)}")
     sysm = problem.system
     H = sym(sysm.A @ np.asarray(Y, dtype=float) @ sysm.A.T)
-    vals = _envelope_tail([H, H], gains, problem, with_noise=False)
-    return vals[-1]
+    return _envelope(gains, H, problem, np.zeros(problem.m))
 
 
 def optimal_gains(X: np.ndarray, problem: MareProblem) -> list[np.ndarray]:
@@ -222,15 +212,8 @@ def optimal_gains(X: np.ndarray, problem: MareProblem) -> list[np.ndarray]:
     running cascade value T, so plugging the result back into
     cascade_envelope reproduces update_cascade(X).
     """
-    sysm = problem.system
-    r = sysm.r_diag()
-    T = sym(np.asarray(X, dtype=float))
-    gains: list[np.ndarray] = []
-    for i, rate in enumerate(problem.info_rates):
-        Tc, s = innovation_terms(T, sysm.C[i], r[i])
-        T, gain = weighted_update(T, Tc, s, rate)
-        gains.append(-gain)
-    return gains
+    _, gains = _cascade(sym(np.asarray(X, dtype=float)), problem)
+    return [-g for g in gains]
 
 
 def _affine_fixed_point(gains: Sequence[np.ndarray], const: np.ndarray,
@@ -421,7 +404,7 @@ class SufficientCheck:
     certificate: Optional[Certificate]
 
 
-def sufficient_check(problem: MareProblem, margin_tol: float = 0.0,
+def sufficient_check(problem: MareProblem,
                      fixed_point: Optional[FixedPointResult] = None,
                      ) -> SufficientCheck:
     """Decide the sufficient condition at the fixed point's gains.
@@ -433,7 +416,7 @@ def sufficient_check(problem: MareProblem, margin_tol: float = 0.0,
     solution Pt >= I exactly when rho(linear_part) < 1, so the result is
     exact at these gains and the margin is 1 up to round-off.  False
     means the fixed point did not converge, rho >= 1 at these gains, or
-    the margin is not above ``margin_tol``; other gains are not tried.
+    the margin is not positive; other gains are not tried.
     """
     fp = fixed_point if fixed_point is not None else iterate_fixed_point(problem)
     if not fp.converged:
@@ -445,7 +428,7 @@ def sufficient_check(problem: MareProblem, margin_tol: float = 0.0,
     if Pt is None:
         return SufficientCheck(ok=False, certificate=None)
     margin = min_eig(Pt - riccati_envelope(gains, Pt, problem))
-    if not margin > margin_tol:
+    if not margin > 0.0:
         return SufficientCheck(ok=False, certificate=None)
     if min_eig(Pt) <= 0.0:
         # Pt = sum_k L^k(const) >= I for a contracting completely
@@ -503,17 +486,14 @@ class MareReport:
         }
 
 
-def analyze(problem: MareProblem, tol: float = DEFAULT_TOL,
-            max_iter: int = DEFAULT_MAX_ITER,
-            trace_ceiling: float = DEFAULT_TRACE_CEILING,
-            margin_tol: float = 0.0,
-            run_iterate: bool = True, run_necessary: bool = True,
+def analyze(problem: MareProblem, run_iterate: bool = True,
+            run_necessary: bool = True,
             run_sufficient: bool = True) -> MareReport:
-    """Run the selected stability analyses and bundle the results."""
+    """Run the selected stability analyses, with iterate_fixed_point at its
+    defaults, and bundle the results."""
     messages: list = []
     if run_iterate or run_sufficient:
-        fp = iterate_fixed_point(problem, tol=tol, max_iter=max_iter,
-                                 trace_ceiling=trace_ceiling)
+        fp = iterate_fixed_point(problem)
     else:
         fp = FixedPointResult("skipped", None, 0, np.asarray([]))
     if fp.converged and fp.fixed_point is not None:
@@ -535,6 +515,5 @@ def analyze(problem: MareProblem, tol: float = DEFAULT_TOL,
     if run_necessary:
         report.necessary = necessary_check(problem)
     if run_sufficient:
-        report.sufficient = sufficient_check(problem, margin_tol=margin_tol,
-                                             fixed_point=fp)
+        report.sufficient = sufficient_check(problem, fixed_point=fp)
     return report

@@ -61,8 +61,8 @@ def is_diagonal(M: np.ndarray) -> bool:
 class LinearSystem:
     """Plant matrices plus the initial-state prior.
 
-    Immutable after construction so instances can be shared read-only
-    across parallel Monte Carlo workers.
+    Immutable after construction, so one instance can be shared
+    read-only by every trial, filter and analysis that uses it.
     """
 
     A: np.ndarray

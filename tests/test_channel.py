@@ -7,57 +7,70 @@ import pytest
 
 from schedkf import (
     EnergyLedger,
+    LinearSystem,
     SchedulerConfig,
     SlotOutcome,
     component_stats,
     derive_trial_seed,
     energy_ledger,
-    schedule,
-    transmit,
+    simulate_trial,
 )
+
+# Plants for checking the power decision and the arrival draw where they
+# are made: in the closed-loop engine behind ``simulate_trial``.
+PLANT = LinearSystem(A=[[0.9]], C=[[1.0], [0.5]], Q=[[1.0]],
+                     R=[[0.5, 0.0], [0.0, 1.0]], x0_mean=[0.0], P0=[[1.0]])
+ONE_SLOT = LinearSystem(A=[[0.9]], C=[[1.0]], Q=[[1.0]], R=[[0.5]],
+                        x0_mean=[0.0], P0=[[1.0]])
 
 
 class TestSchedule:
-    def test_zero_innovation_stays_low(self):
-        high, eps = schedule(1.0, 1.0, 2.0, threshold=0.5)
-        assert eps == 0.0 and not high
+    """The power decision high = |innovation| > threshold."""
 
     def test_zero_threshold_fires_on_anything(self):
-        high, eps = schedule(1.001, 1.0, 1.0, threshold=0.0)
-        assert eps == pytest.approx(0.001)
-        assert high
+        cfg = SchedulerConfig(thresholds=[0.0, 0.0], arrival_prob=0.3)
+        rec = simulate_trial(PLANT, cfg, 500, seed=3)
+        assert np.all(rec.innovations != 0.0)
+        assert rec.high_power.all()
+        assert rec.delivered.all()
 
     def test_tie_goes_low_power(self):
-        # strict exceedance: |innovation| == threshold stays low power
-        high, eps = schedule(2.0, 0.0, 2.0, threshold=1.0)
-        assert eps == 1.0 and not high
-
-    def test_sigma_must_be_positive(self):
-        with pytest.raises(ValueError):
-            schedule(1.0, 0.0, 0.0, threshold=1.0)
+        # The first slot's innovation comes before any decision, so a rerun
+        # with the threshold set to exactly its magnitude makes a tie there.
+        probe = simulate_trial(PLANT, SchedulerConfig([0.0, 0.0], 0.5), 1, seed=11)
+        eps = abs(float(probe.innovations[0, 0]))
+        tie = simulate_trial(PLANT, SchedulerConfig([eps, 0.0], 0.5), 1, seed=11)
+        assert abs(float(tie.innovations[0, 0])) == eps
+        assert not tie.high_power[0, 0]
+        below = simulate_trial(PLANT, SchedulerConfig([np.nextafter(eps, 0.0), 0.0],
+                                                      0.5), 1, seed=11)
+        assert below.high_power[0, 0]
 
 
 class TestTransmit:
+    """The arrival draw: certain at high power, U < arrival_prob otherwise."""
+
     def test_high_power_always_delivers(self):
-        rng = np.random.default_rng(0)
-        assert all(transmit(True, 0.01, rng) for _ in range(100))
+        # With arrival_prob 0.01 nearly every high-power slot draws a losing
+        # uniform; its covariance must still take the full update.
+        rec = simulate_trial(ONE_SLOT, SchedulerConfig([1.0], 0.01), 2000, seed=5)
+        lost = rec.high_power[:, 0] & ~rec.arrived[:, 0]
+        assert lost.sum() > 100
+        assert rec.delivered[lost, 0].all()
+        prior = 0.81 * rec.covariances[:-1, 0, 0] + 1.0
+        full = prior - prior**2 / (prior + 0.5)
+        np.testing.assert_allclose(rec.covariances[1:, 0, 0][lost], full[lost],
+                                   rtol=1e-12, atol=0.0)
 
     def test_low_power_rate_matches_binomial(self):
-        rng = np.random.default_rng(42)
-        beta = 0.999
-        n = 100_000
-        hits = sum(transmit(False, beta, rng) for _ in range(n))
+        beta = 0.37
+        rec = simulate_trial(PLANT, SchedulerConfig([1.0, 1.0], beta), 5000,
+                             seed=42)
+        low = ~rec.high_power
+        n = int(low.sum())
         se = math.sqrt(beta * (1 - beta) / n)
-        assert abs(hits / n - beta) <= 3 * se
-
-    def test_deterministic_under_seed(self):
-        bits1 = [transmit(False, 0.37, np.random.default_rng(9)) for _ in range(1)]
-        a = np.random.default_rng(9)
-        b = np.random.default_rng(9)
-        seq_a = [transmit(False, 0.37, a) for _ in range(500)]
-        seq_b = [transmit(False, 0.37, b) for _ in range(500)]
-        assert seq_a == seq_b
-        assert bits1[0] == seq_a[0]
+        assert abs(rec.arrived[low].mean() - beta) <= 3 * se
+        assert np.array_equal(rec.delivered, rec.high_power | rec.arrived)
 
 
 class TestSchedulerConfig:

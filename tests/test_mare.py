@@ -1,7 +1,8 @@
 """Composite Riccati operator, envelopes, and stability checks.
 
-The envelope recursions are validated against an independently coded
-route: composing the single-slot affine envelope step by step.  The
+The envelopes, which the package computes slot by slot, are validated
+against an independently coded route: the same recursion unrolled into
+one sum per stage with the coefficients from mixture_weights.  The
 rate-1 specializations are validated against textbook information-form
 and batch Riccati updates.
 """
@@ -64,15 +65,30 @@ def min_eig(M):
     return float(np.linalg.eigvalsh(0.5 * (M + M.T))[0])
 
 
-def envelope_chain(gains, X, problem):
-    """Oracle for the weighted recursion: compose the one-slot affine
-    envelope directly, slot by slot."""
+def envelope_unrolled(gains, X, problem, with_noise=True):
+    """Oracle for the slot loop: the envelope unrolled into one sum per
+    stage with the coefficients from mixture_weights,
+
+        V_s = w_0 X + sum_{j=1..s} w_j (E_j V_{j-1} E_j' + r_j L_j L_j'),
+
+    with E_j = I + L_j c_j and V_0 = X.  with_noise=False drops the
+    r L L' terms, which leaves the linear part."""
     sysm = problem.system
     r = np.diag(sysm.R)
-    Y = np.asarray(X, dtype=float)
-    for i, rate in enumerate(problem.info_rates):
-        Y = gain_envelope(gains[i], Y, rate, sysm.C[i], r[i])
-    return Y
+    X = np.asarray(X, dtype=float)
+    vals = [X]
+    for s in range(1, problem.m + 1):
+        w = mixture_weights(problem.info_rates, s)
+        acc = w[0] * X
+        for j in range(1, s + 1):
+            L = gains[j - 1]
+            E = np.eye(problem.n) + np.outer(L, sysm.C[j - 1])
+            term = E @ vals[j - 1] @ E.T
+            if with_noise:
+                term = term + r[j - 1] * np.outer(L, L)
+            acc = acc + w[j] * term
+        vals.append(acc)
+    return vals[-1]
 
 
 class TestBasicMaps:
@@ -219,14 +235,14 @@ class TestCascadeEnvelope:
         gains = [np.zeros(3)] * 3
         assert np.allclose(cascade_envelope(gains, X, prob), X, atol=1e-12)
 
-    def test_matches_chain_oracle(self):
+    def test_matches_unrolled_oracle(self):
         rng = np.random.default_rng(6)
         for _ in range(25):
             prob = random_problem(rng)
             X = random_psd(rng, prob.n)
             gains = [rng.standard_normal(prob.n) for _ in range(prob.m)]
             got = cascade_envelope(gains, X, prob)
-            want = envelope_chain(gains, X, prob)
+            want = envelope_unrolled(gains, X, prob)
             assert np.allclose(got, want, atol=1e-9 * (1 + np.abs(want).max()))
 
     def test_single_slot_equals_gain_envelope(self):
@@ -294,6 +310,34 @@ class TestRiccatiEnvelope:
 
 
 class TestLinearPart:
+    def test_matches_unrolled_oracle(self):
+        rng = np.random.default_rng(6)
+        for _ in range(25):
+            prob = random_problem(rng)
+            Y = random_psd(rng, prob.n)
+            gains = [rng.standard_normal(prob.n) for _ in range(prob.m)]
+            A = prob.system.A
+            got = linear_part(Y, gains, prob)
+            want = envelope_unrolled(gains, A @ Y @ A.T, prob, with_noise=False)
+            assert np.allclose(got, want, atol=1e-9 * (1 + np.abs(want).max()))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_stack_rows_equal_single_matrices(self, n, m):
+        # The fixed-point solver applies linear_part to the stack of the
+        # n^2 unit matrices; every row must come out as it would alone.
+        rng = np.random.default_rng(100 * n + m)
+        prob = random_problem(rng, n=n, m=m)
+        gains = [rng.standard_normal(n) for _ in range(m)]
+        units = np.eye(n * n).reshape(n * n, n, n)
+        for stack in (units, rng.standard_normal((n * n + 3, n, n))):
+            lin = linear_part(stack, gains, prob)
+            env = cascade_envelope(gains, stack, prob)
+            assert lin.shape == env.shape == stack.shape
+            for k, Y in enumerate(stack):
+                assert np.array_equal(lin[k], linear_part(Y, gains, prob))
+                assert np.array_equal(env[k], cascade_envelope(gains, Y, prob))
+
     def test_zero_and_homogeneous(self):
         rng = np.random.default_rng(15)
         prob = random_problem(rng, n=3, m=2)

@@ -22,7 +22,6 @@ from schedkf import (
     monte_carlo,
     predict,
     riccati_map,
-    schedule,
     scheduler_stats,
     simulate_trial,
     time_update,
@@ -70,6 +69,7 @@ class TestDeterminism:
         assert np.array_equal(a.covariances, b.covariances)
         assert np.array_equal(a.innovations, b.innovations)
         assert np.array_equal(a.high_power, b.high_power)
+        assert np.array_equal(a.arrived, b.arrived)
 
     def test_monte_carlo_bitwise_reproducible(self):
         s1 = monte_carlo(EXAMPLE, example_cfg(), 50, trials=40, master_seed=11)
@@ -236,8 +236,8 @@ class TestEngineConsistency:
             st = predict(st, sysm)
             for i in range(m):
                 z_pred, sigma = innovation_stats(st, sysm, i)
-                high, eps = schedule(float(y[i]), z_pred, sigma,
-                                     cfg.thresholds[i])
+                eps = (float(y[i]) - z_pred) / sigma
+                high = abs(eps) > cfg.thresholds[i]
                 arrived = bool(U[k - 1, i] < cfg.arrival_prob)
                 assert high == rec.high_power[k - 1, i]
                 assert arrived == rec.arrived[k - 1, i]
