@@ -38,7 +38,7 @@ def main():
 
     summary = monte_carlo(system, cfg, horizon=120, trials=4000,
                           master_seed=42)
-    check = bound_check(summary, prob, slack_sigmas=5.0)
+    check = bound_check(summary, prob)
 
     print(f"{'k':>4} {'lower':>9} {'mean P':>9} {'upper':>9} {'flag':>5}")
     for k in (1, 2, 3, 5, 10, 20, 40, 80, 120):

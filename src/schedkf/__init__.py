@@ -13,73 +13,32 @@ The package couples seven modules:
 * ``cli``      the ``schedkf`` command-line front end
 """
 
-from .channel import (
-    EnergyLedger,
-    SchedulerConfig,
-    SlotOutcome,
-    derive_trial_seed,
-    energy_ledger,
-    scheduler_stats,
-)
-from .filter import (
-    FilterState,
-    SlotTrace,
-    SlotUpdate,
-    innovation_stats,
-    predict,
-    step,
-    update_component,
-)
+from .channel import SchedulerConfig, derive_trial_seed, energy_ledger, scheduler_stats
+from .filter import FilterState, SlotUpdate, predict, step, update_component
 from .mare import (
-    Certificate,
-    FixedPointResult,
     MareProblem,
-    MareReport,
-    NecessaryCheck,
-    SufficientCheck,
     analyze,
-    cascade_envelope,
-    gain_envelope,
     iterate_fixed_point,
-    linear_part,
     mixture_weights,
     necessary_check,
-    optimal_gains,
     partial_update,
-    riccati_envelope,
-    riccati_map,
     sufficient_check,
-    time_update,
-    update_cascade,
 )
-from .model import LinearSystem, ValidationReport, validate, whiten
-from .sim import (
-    BoundCheck,
-    MonteCarloSummary,
-    TrialRecord,
-    bound_check,
-    monte_carlo,
-    simulate_trial,
-    write_summary_csv,
-)
-from .stats import ComponentStats, component_stats, q_tail, threshold_for_rate
+from .model import LinearSystem, validate, whiten
+from .sim import bound_check, monte_carlo, simulate_trial, write_summary_csv
+from .stats import component_stats, threshold_for_rate
 
 __version__ = "0.1.0"
 
+# Inputs and entry points.  Result types and the Riccati operator's
+# building blocks are exported by their modules.
 __all__ = [
-    "ComponentStats", "component_stats", "q_tail", "threshold_for_rate",
-    "LinearSystem", "ValidationReport", "validate", "whiten",
-    "FilterState", "SlotUpdate", "SlotTrace",
-    "predict", "innovation_stats", "update_component", "step",
-    "SchedulerConfig", "SlotOutcome", "EnergyLedger",
-    "energy_ledger", "scheduler_stats", "derive_trial_seed",
-    "MareProblem", "MareReport", "FixedPointResult", "NecessaryCheck",
-    "Certificate", "SufficientCheck",
-    "time_update", "partial_update", "update_cascade", "riccati_map",
-    "gain_envelope", "mixture_weights", "cascade_envelope",
-    "riccati_envelope", "optimal_gains", "linear_part",
+    "LinearSystem", "validate", "whiten",
+    "component_stats", "threshold_for_rate",
+    "SchedulerConfig", "scheduler_stats", "energy_ledger", "derive_trial_seed",
+    "FilterState", "SlotUpdate", "predict", "update_component", "step",
+    "MareProblem", "partial_update", "mixture_weights",
     "iterate_fixed_point", "necessary_check", "sufficient_check", "analyze",
-    "TrialRecord", "MonteCarloSummary", "BoundCheck",
     "simulate_trial", "monte_carlo", "bound_check", "write_summary_csv",
     "__version__",
 ]

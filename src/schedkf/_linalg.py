@@ -14,6 +14,10 @@ import numpy as np
 # symmetrization noise of repeated congruence updates.
 PSD_RTOL = 1e-10
 
+# psd_floor repairs only eigenvalues in (-PSD_BAND, 0): round-off, not a
+# genuine loss of definiteness.
+PSD_BAND = 1e-10
+
 
 def sym(M: np.ndarray) -> np.ndarray:
     """Symmetric part (M + M') / 2."""
@@ -49,12 +53,12 @@ def weighted_update(P: np.ndarray, Pc: np.ndarray, s, t) -> tuple:
     return sym(P - t * (gain[..., :, None] * Pc[..., None, :])), gain
 
 
-def psd_floor(M: np.ndarray, band: float = 1e-10) -> np.ndarray:
-    """Symmetrize, then clip round-off negative eigenvalues in (-band, 0).
+def psd_floor(M: np.ndarray) -> np.ndarray:
+    """Symmetrize, then clip round-off negative eigenvalues in (-PSD_BAND, 0).
 
     Takes one (n, n) matrix or a stack (..., n, n) and returns the
     symmetric part with every row's round-off negatives set to zero.
-    Eigenvalues at or below -band are left alone so genuine violations
+    Eigenvalues at or below -PSD_BAND are left alone so genuine violations
     stay visible to the invariant checks, and rows holding NaN or inf
     are never repaired.  For n == 1 the clip is elementwise.
 
@@ -75,17 +79,17 @@ def psd_floor(M: np.ndarray, band: float = 1e-10) -> np.ndarray:
 
     Repair.  When the factorization fails, the exact eigenvalue floor
     runs on the finite rows and rebuilds only those whose smallest
-    eigenvalue lies in (-band, 0).
+    eigenvalue lies in (-PSD_BAND, 0).
     """
     S = sym(M)
     n = S.shape[-1]
     if n == 1:
-        return np.where((S < 0.0) & (S > -band), 0.0, S)
+        return np.where((S < 0.0) & (S > -PSD_BAND), 0.0, S)
     shift = (S.trace(axis1=-2, axis2=-1) + 1.0)[..., None, None] * _delta_eye(n)
     try:
         np.linalg.cholesky(S - shift)
     except np.linalg.LinAlgError:
-        return _eigen_floor(S, band)
+        return _eigen_floor(S)
     return S
 
 
@@ -97,13 +101,14 @@ def _delta_eye(n: int) -> np.ndarray:
     return eye
 
 
-def _eigen_floor(S: np.ndarray, band: float) -> np.ndarray:
-    """Exact floor: clip eigenvalues of rows whose minimum is in (-band, 0)."""
+def _eigen_floor(S: np.ndarray) -> np.ndarray:
+    """Exact floor: clip eigenvalues of rows whose minimum is in
+    (-PSD_BAND, 0)."""
     n = S.shape[-1]
     flat = S.reshape(-1, n, n)
     rows = np.flatnonzero(np.isfinite(flat).all(axis=(1, 2)))
     lo = np.linalg.eigvalsh(flat[rows])[:, 0]
-    rows = rows[(lo < 0.0) & (lo > -band)]
+    rows = rows[(lo < 0.0) & (lo > -PSD_BAND)]
     if rows.size == 0:
         return S
     w, U = np.linalg.eigh(flat[rows])

@@ -9,10 +9,15 @@ Subcommands:
     solve-threshold           invert a target information rate into a
                               scheduler threshold
 
-Exit codes: 0 success, 1 unreadable config, 2 invalid config,
-3 simulation finished but some trials hit the covariance ceiling
-(files are still written).  Analysis verdicts are data, not exit codes.
+Exit codes: 0 success, 1 unreadable config, 2 invalid config (nothing
+is written or run), 3 simulation finished but some trials hit the
+covariance ceiling (files are still written).  Analysis verdicts are
+data, not exit codes.
 
+A config is a JSON object with the keys system, scheduler, horizon,
+trials, master_seed, output and trace_ceiling; scheduler takes eta,
+lambda_target, beta, delta_high and delta_low, and output takes dir.
+Any other key is rejected, so a misspelt key cannot be silently ignored.
 Thresholds may be given directly (``eta``) or as target information
 rates (``lambda_target``), one choice per component; resolved thresholds
 are echoed into effective_config.json, which re-ingests to the same
@@ -24,7 +29,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys as _sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
@@ -43,8 +48,13 @@ EXIT_UNREADABLE = 1
 EXIT_INVALID = 2
 EXIT_TRUNCATED = 3
 
-# Which stability analyses ``analyze`` runs unless the config says otherwise.
-_ANALYSIS_DEFAULTS = {"mare_iterate": True, "necessary": True, "sufficient": True}
+# The keys each config object accepts.
+_KEYS = {
+    "config": ("system", "scheduler", "horizon", "trials", "master_seed",
+               "output", "trace_ceiling"),
+    "scheduler": ("eta", "lambda_target", "beta", "delta_high", "delta_low"),
+    "output": ("dir",),
+}
 
 
 class ConfigError(ValueError):
@@ -58,9 +68,7 @@ class ExperimentConfig:
     horizon: int
     trials: int
     master_seed: int
-    analysis: dict = field(default_factory=lambda: dict(_ANALYSIS_DEFAULTS))
     out_dir: Path = Path("results")
-    write_matrices_json: bool = True
     trace_ceiling: float = DEFAULT_TRACE_CEILING
 
     def info_rates(self) -> np.ndarray:
@@ -79,11 +87,27 @@ class ExperimentConfig:
             "horizon": self.horizon,
             "trials": self.trials,
             "master_seed": self.master_seed,
-            "analysis": dict(self.analysis),
-            "output": {"dir": str(self.out_dir),
-                       "matrices_json": self.write_matrices_json},
+            "output": {"dir": str(self.out_dir)},
             "trace_ceiling": self.trace_ceiling,
         }
+
+
+def _check_keys(obj, where: str) -> dict:
+    """``obj`` itself, if it is a JSON object holding only the keys
+    ``_KEYS[where]`` accepts."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"'{where}' must be a JSON object")
+    unknown = sorted(set(obj) - set(_KEYS[where]))
+    if unknown:
+        raise ConfigError(f"unknown {where} key(s) {unknown}; accepted: "
+                          f"{', '.join(_KEYS[where])}")
+    return obj
+
+
+def _check_seed(seed: int) -> int:
+    if seed < 0:
+        raise ConfigError(f"master_seed must be >= 0, got {seed}")
+    return seed
 
 
 def _resolve_thresholds(sched: dict, m: int) -> np.ndarray:
@@ -119,6 +143,7 @@ def _resolve_thresholds(sched: dict, m: int) -> np.ndarray:
 
 def parse_config(data: dict) -> ExperimentConfig:
     """Validate a parsed JSON document into an ExperimentConfig."""
+    _check_keys(data, "config")
     try:
         system = LinearSystem.from_dict(data["system"])
     except KeyError as exc:
@@ -130,9 +155,7 @@ def parse_config(data: dict) -> ExperimentConfig:
         raise ConfigError("invalid system: R must be diagonal; "
                           "whiten the system first")
 
-    sched_data = data.get("scheduler")
-    if not isinstance(sched_data, dict):
-        raise ConfigError("config needs a 'scheduler' object")
+    sched_data = _check_keys(data.get("scheduler"), "scheduler")
     thresholds = _resolve_thresholds(sched_data, system.m)
     try:
         scheduler = SchedulerConfig(
@@ -146,29 +169,25 @@ def parse_config(data: dict) -> ExperimentConfig:
 
     horizon = int(data.get("horizon", 0))
     trials = int(data.get("trials", 0))
-    master_seed = int(data.get("master_seed", 0))
+    master_seed = _check_seed(int(data.get("master_seed", 0)))
     if horizon < 1:
         raise ConfigError(f"horizon must be >= 1, got {horizon}")
     if trials < 1:
         raise ConfigError(f"trials must be >= 1, got {trials}")
 
-    analysis = {**_ANALYSIS_DEFAULTS, **data.get("analysis", {})}
-
-    output = data.get("output", {})
+    output = _check_keys(data.get("output", {}), "output")
     out_dir = Path(output.get("dir", "results"))
-    matrices = bool(output.get("matrices_json", True))
     ceiling = float(data.get("trace_ceiling", DEFAULT_TRACE_CEILING))
+    if not 0.0 < ceiling < np.inf:
+        raise ConfigError(f"trace_ceiling must be finite and > 0, got {ceiling}")
     return ExperimentConfig(system=system, scheduler=scheduler, horizon=horizon,
                             trials=trials, master_seed=master_seed,
-                            analysis=analysis, out_dir=out_dir,
-                            write_matrices_json=matrices, trace_ceiling=ceiling)
+                            out_dir=out_dir, trace_ceiling=ceiling)
 
 
 def load_config(path) -> ExperimentConfig:
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
-    if not isinstance(data, dict):
-        raise ConfigError("config must be a JSON object")
     return parse_config(data)
 
 
@@ -180,7 +199,7 @@ def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
             raise ConfigError(f"trials must be >= 1, got {args.trials}")
         cfg.trials = args.trials
     if getattr(args, "seed", None) is not None:
-        cfg.master_seed = args.seed
+        cfg.master_seed = _check_seed(args.seed)
     return cfg
 
 
@@ -207,14 +226,13 @@ def run_simulate(args) -> int:
                           cfg.master_seed, trace_ceiling=cfg.trace_ceiling)
     problem = MareProblem(system=cfg.system, info_rates=cfg.info_rates())
     write_summary_csv(summary, problem, out / "summary.csv")
-    if cfg.write_matrices_json:
-        payload = summary_json_dict(summary)
-        payload["validation"] = {
-            "controllable": report.controllable,
-            "observable": report.observable,
-            "r_diagonal": report.r_diagonal,
-        }
-        _write_json(out / "summary.json", payload)
+    payload = summary_json_dict(summary)
+    payload["validation"] = {
+        "controllable": report.controllable,
+        "observable": report.observable,
+        "r_diagonal": report.r_diagonal,
+    }
+    _write_json(out / "summary.json", payload)
     print(f"simulate: {cfg.trials} trials x {cfg.horizon} steps -> {out}")
     if summary.truncated_trials:
         print(f"simulate: {summary.truncated_trials} trials hit the covariance "
@@ -225,19 +243,12 @@ def run_simulate(args) -> int:
 
 def run_analyze(args) -> int:
     cfg, out = _prepare(args)
-    problem = MareProblem(system=cfg.system, info_rates=cfg.info_rates())
-    flags = {**_ANALYSIS_DEFAULTS, **cfg.analysis}
-    report = analyze(problem,
-                     run_iterate=bool(flags["mare_iterate"]),
-                     run_necessary=bool(flags["necessary"]),
-                     run_sufficient=bool(flags["sufficient"]))
+    report = analyze(MareProblem(system=cfg.system, info_rates=cfg.info_rates()))
     payload = report.to_json_dict()
     payload["info_rates"] = cfg.info_rates().tolist()
     _write_json(out / "analysis.json", payload)
-    nec = report.necessary_ok
-    suf = report.sufficient_ok
-    print(f"analyze: status={report.status} necessary={nec} sufficient={suf} "
-          f"-> {out / 'analysis.json'}")
+    print(f"analyze: status={report.status} necessary={report.necessary.ok} "
+          f"sufficient={report.sufficient.ok} -> {out / 'analysis.json'}")
     return EXIT_OK
 
 

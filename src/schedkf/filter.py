@@ -33,7 +33,7 @@ from .stats import ComponentStats
 
 __all__ = [
     "FilterState", "SlotUpdate", "SlotTrace",
-    "predict", "innovation_stats", "update_component", "step",
+    "predict", "update_component", "step",
 ]
 
 
@@ -93,18 +93,6 @@ def predict(state: FilterState, sys: LinearSystem) -> FilterState:
     """Time update: x <- A x, P <- A P A' + Q."""
     return FilterState(x=sys.A @ state.x, P=time_update(state.P, sys.A, sys.Q),
                        k=state.k + 1)
-
-
-def innovation_stats(state: FilterState, sys: LinearSystem,
-                     index: int) -> tuple[float, float]:
-    """Predicted measurement component and its standard deviation.
-
-    The variance c P c' + R_i is positive because R_i > 0, so the
-    normalized innovation is always well defined.
-    """
-    c = sys.C[index]
-    _, s_var = innovation_terms(state.P, c, sys.R[index, index])
-    return float(c @ state.x), float(np.sqrt(s_var))
 
 
 def _slot(x: np.ndarray, P: np.ndarray, sys: LinearSystem, slot: SlotUpdate,

@@ -267,10 +267,7 @@ _STALL_STEPS = 50
 
 
 def iterate_fixed_point(problem: MareProblem, X0: Optional[np.ndarray] = None,
-                        tol: float = DEFAULT_TOL,
-                        max_iter: int = DEFAULT_MAX_ITER,
-                        trace_ceiling: float = DEFAULT_TRACE_CEILING,
-                        ) -> FixedPointResult:
+                        tol: float = DEFAULT_TOL) -> FixedPointResult:
     """Fixed point of the composite map from X0 (default 0).
 
     1. If the necessary check fails and Q > 0 (``_necessary_decides``),
@@ -283,11 +280,11 @@ def iterate_fixed_point(problem: MareProblem, X0: Optional[np.ndarray] = None,
        stops shrinking, then resume value iteration from there.  The
        jump is taken once.
     3. Convergence is declared only when max|map(X) - X| <= ``tol``.
-       The trace passing ``trace_ceiling`` (or turning non-finite) means
-       "diverged".  After the jump, a step that makes no new minimum for
+       The trace passing ``DEFAULT_TRACE_CEILING`` (or turning
+       non-finite) means "diverged".  After the jump, a step that makes no new minimum for
        50 map applications means round-off has stalled the iteration
-       above ``tol``: "undetermined".  Running out of ``max_iter`` is
-       "undetermined" as well.
+       above ``tol``: "undetermined".  Running out of ``DEFAULT_MAX_ITER`` map
+       applications plus policy steps is "undetermined" as well.
 
     ``iterations`` counts map applications plus policy steps, and
     ``trace_history`` holds the trace of X0 followed by the trace of
@@ -308,11 +305,11 @@ def iterate_fixed_point(problem: MareProblem, X0: Optional[np.ndarray] = None,
     jumped = False
     next_probe = 1
     best, since_best = np.inf, 0
-    while len(traces) <= max_iter:
+    while len(traces) <= DEFAULT_MAX_ITER:
         Xn = riccati_map(X, problem)
         tr = float(np.trace(Xn))
         traces.append(tr)
-        if not np.isfinite(tr) or tr > trace_ceiling:
+        if not np.isfinite(tr) or tr > DEFAULT_TRACE_CEILING:
             return result("diverged")
         step = float(np.max(np.abs(Xn - X)))
         if step <= tol:
@@ -327,12 +324,12 @@ def iterate_fixed_point(problem: MareProblem, X0: Optional[np.ndarray] = None,
                     return result("undetermined")
         elif len(traces) - 1 == next_probe:
             next_probe *= 2
-            X, jumped = _policy_steps(X, problem, tol, max_iter, traces)
+            X, jumped = _policy_steps(X, problem, tol, traces)
     return result("undetermined")
 
 
 def _policy_steps(X: np.ndarray, problem: MareProblem, tol: float,
-                  max_iter: int, traces: list) -> tuple[np.ndarray, bool]:
+                  traces: list) -> tuple[np.ndarray, bool]:
     """Hewer's policy iteration from the optimal gains at X.
 
     Appends the trace of every policy iterate to ``traces`` and returns
@@ -342,7 +339,7 @@ def _policy_steps(X: np.ndarray, problem: MareProblem, tol: float,
     zero = np.zeros_like(X)
     last = np.inf
     jumped = False
-    while len(traces) <= max_iter:
+    while len(traces) <= DEFAULT_MAX_ITER:
         gains = optimal_gains(time_update(X, problem.system), problem)
         Xp, _ = _affine_fixed_point(
             gains, riccati_envelope(gains, zero, problem), problem, X)
@@ -447,73 +444,50 @@ class MareReport:
     fixed_point: Optional[np.ndarray]
     iterations: int
     trace_history: np.ndarray
-    necessary: Optional[NecessaryCheck] = None
-    sufficient: Optional[SufficientCheck] = None
+    necessary: NecessaryCheck
+    sufficient: SufficientCheck
     messages: list = field(default_factory=list)
-
-    @property
-    def necessary_ok(self) -> Optional[bool]:
-        return None if self.necessary is None else self.necessary.ok
-
-    @property
-    def sufficient_ok(self) -> Optional[bool]:
-        return None if self.sufficient is None else self.sufficient.ok
 
     def to_json_dict(self) -> dict:
         fp = None if self.fixed_point is None else self.fixed_point.tolist()
-        nec = None
-        if self.necessary is not None:
-            nec = {"lhs": self.necessary.lhs, "rhs": self.necessary.rhs,
-                   "ok": self.necessary.ok}
-        suf = None
-        if self.sufficient is not None:
-            cert = self.sufficient.certificate
-            suf = {
-                "ok": self.sufficient.ok,
-                "margin": None if cert is None else cert.margin,
-                "contraction": None if cert is None else cert.contraction,
-                "gains": None if cert is None else [g.tolist() for g in cert.gains],
-                "p_tilde": None if cert is None else cert.matrix.tolist(),
-            }
+        cert = self.sufficient.certificate
         return {
             "status": self.status,
             "fixed_point": fp,
             "iterations": self.iterations,
             "trace_history": [float(t) for t in self.trace_history],
-            "necessary": nec,
-            "sufficient": suf,
+            "necessary": {"lhs": self.necessary.lhs, "rhs": self.necessary.rhs,
+                          "ok": self.necessary.ok},
+            "sufficient": {
+                "ok": self.sufficient.ok,
+                "margin": None if cert is None else cert.margin,
+                "contraction": None if cert is None else cert.contraction,
+                "gains": None if cert is None else [g.tolist() for g in cert.gains],
+                "p_tilde": None if cert is None else cert.matrix.tolist(),
+            },
             "messages": list(self.messages),
         }
 
 
-def analyze(problem: MareProblem, run_iterate: bool = True,
-            run_necessary: bool = True,
-            run_sufficient: bool = True) -> MareReport:
-    """Run the selected stability analyses, with iterate_fixed_point at its
-    defaults, and bundle the results."""
+def analyze(problem: MareProblem) -> MareReport:
+    """Fixed point from 0 (iterate_fixed_point at its defaults), then the
+    necessary check and the sufficient check at that fixed point."""
     messages: list = []
-    if run_iterate or run_sufficient:
-        fp = iterate_fixed_point(problem)
-    else:
-        fp = FixedPointResult("skipped", None, 0, np.asarray([]))
-    if fp.converged and fp.fixed_point is not None:
-        if min_eig(fp.fixed_point) <= 0.0:
-            if min_eig(problem.system.Q) > 0.0:
-                # With full-rank process noise the limit of the monotone
-                # iteration is strictly positive definite; anything else
-                # means the operator algebra is broken.
-                raise AssertionError("fixed point is not positive definite "
-                                     "despite Q > 0")
-            # Possible when Q is singular PSD; recorded, not fatal.
-            messages.append("fixed point is singular positive semidefinite")
+    fp = iterate_fixed_point(problem)
+    if fp.converged and min_eig(fp.fixed_point) <= 0.0:
+        if min_eig(problem.system.Q) > 0.0:
+            # With full-rank process noise the limit of the monotone
+            # iteration is strictly positive definite; anything else
+            # means the operator algebra is broken.
+            raise AssertionError("fixed point is not positive definite "
+                                 "despite Q > 0")
+        # Possible when Q is singular PSD; recorded, not fatal.
+        messages.append("fixed point is singular positive semidefinite")
     if fp.status == "diverged" and _necessary_decides(problem):
         messages.append("diverged without iterating: the necessary condition "
                         "fails and Q > 0")
-    report = MareReport(status=fp.status, fixed_point=fp.fixed_point,
-                        iterations=fp.iterations, trace_history=fp.trace_history,
-                        messages=messages)
-    if run_necessary:
-        report.necessary = necessary_check(problem)
-    if run_sufficient:
-        report.sufficient = sufficient_check(problem, fixed_point=fp)
-    return report
+    return MareReport(status=fp.status, fixed_point=fp.fixed_point,
+                      iterations=fp.iterations, trace_history=fp.trace_history,
+                      necessary=necessary_check(problem),
+                      sufficient=sufficient_check(problem, fixed_point=fp),
+                      messages=messages)

@@ -41,7 +41,7 @@ master seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -125,7 +125,6 @@ class MonteCarloSummary:
     high_power_rate: np.ndarray     # (m,) pooled over steps and trials
     high_rate_per_step: np.ndarray  # (K, m)
     truncated_trials: int = 0
-    records: Optional[list] = field(default=None, repr=False)
 
 
 def _trial_noise(seed: int, n: int, m: int, horizon: int):
@@ -220,21 +219,6 @@ def _run_batch(sys: LinearSystem, cfg: SchedulerConfig, horizon: int,
     }
 
 
-def _make_record(raw: dict, t: int, seed: int) -> TrialRecord:
-    trunc = int(raw["truncated_at"][t])
-    return TrialRecord(
-        seed=seed,
-        errors=raw["errors"][t],
-        covariances=raw["covs"][t],
-        high_power=raw["high"][t],
-        arrived=raw["arrived"][t],
-        delivered=raw["delivered"][t],
-        innovations=raw["innovations"][t],
-        energy=raw["energy"][t],
-        truncated_at=None if trunc < 0 else trunc,
-    )
-
-
 def simulate_trial(sys: LinearSystem, cfg: SchedulerConfig, horizon: int,
                    seed: int,
                    trace_ceiling: float = DEFAULT_TRACE_CEILING) -> TrialRecord:
@@ -242,7 +226,18 @@ def simulate_trial(sys: LinearSystem, cfg: SchedulerConfig, horizon: int,
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
     raw = _run_batch(sys, cfg, horizon, [int(seed)], trace_ceiling)
-    return _make_record(raw, 0, int(seed))
+    trunc = int(raw["truncated_at"][0])
+    return TrialRecord(
+        seed=int(seed),
+        errors=raw["errors"][0],
+        covariances=raw["covs"][0],
+        high_power=raw["high"][0],
+        arrived=raw["arrived"][0],
+        delivered=raw["delivered"][0],
+        innovations=raw["innovations"][0],
+        energy=raw["energy"][0],
+        truncated_at=None if trunc < 0 else trunc,
+    )
 
 
 def _nanmean_or_nan(arr: np.ndarray) -> float:
@@ -268,8 +263,6 @@ class _Totals:
         M2 += M2_b + delta^2 n_a n_b / n,   n = n_a + n_b.
 
     A step counts only the trials still live there (not yet truncated).
-    ``add`` only reads the block's arrays, so records sharing them stay
-    intact.
     """
 
     def __init__(self, horizon: int, n: int, m: int):
@@ -313,8 +306,8 @@ class _Totals:
         self.high += (raw["high"] & live[:, 1:, None]).sum(axis=0)
         self.truncated += int(np.count_nonzero(trunc >= 0))
 
-    def summary(self, horizon: int, trials: int, master_seed: int,
-                records: Optional[list]) -> MonteCarloSummary:
+    def summary(self, horizon: int, trials: int,
+                master_seed: int) -> MonteCarloSummary:
         # Steps where every trial truncated aggregate to NaN, which is the
         # honest answer there.
         dead = (self.count == 0)[:, None, None]
@@ -331,22 +324,21 @@ class _Totals:
             high_power_rate=self.high.sum(axis=0) / (self.count[1:].sum() or np.nan),
             high_rate_per_step=self.high / slots[:, None],
             truncated_trials=self.truncated,
-            records=records,
         )
 
 
 def monte_carlo(sys: LinearSystem, cfg: SchedulerConfig, horizon: int,
                 trials: int, master_seed: int,
                 trace_ceiling: float = DEFAULT_TRACE_CEILING,
-                keep_trials: bool = False) -> MonteCarloSummary:
+                ) -> MonteCarloSummary:
     """Aggregate ``trials`` independent closed-loop runs.
 
-    Per-trial seeds are derived from the master seed, so the summary is
-    reproducible bit for bit.  Trials run in fixed blocks of ``_BLOCK``,
-    in trial order; each block adds to running per-step aggregates and is
-    then dropped, so peak memory is set by the block size, not by the
-    trial count.  ``keep_trials`` keeps every trial's ``TrialRecord``, and
-    with them every block's arrays.
+    Trial t equals ``simulate_trial`` at ``derive_trial_seed(master_seed,
+    t)``, so the summary is reproducible bit for bit.  Trials run in fixed
+    blocks of ``_BLOCK``, in trial order; each block adds to running
+    per-step aggregates and is dropped before the next one is built, so
+    one block is in memory at a time and peak memory is set by the block
+    size, not by the trial count.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -355,14 +347,10 @@ def monte_carlo(sys: LinearSystem, cfg: SchedulerConfig, horizon: int,
 
     seeds = [derive_trial_seed(master_seed, t) for t in range(trials)]
     totals = _Totals(horizon, sys.n, sys.m)
-    records = [] if keep_trials else None
     for lo in range(0, trials, _BLOCK):
-        block = seeds[lo:lo + _BLOCK]
-        raw = _run_batch(sys, cfg, horizon, block, trace_ceiling)
-        totals.add(raw)
-        if keep_trials:
-            records.extend(_make_record(raw, t, seed) for t, seed in enumerate(block))
-    return totals.summary(horizon, trials, master_seed, records)
+        totals.add(_run_batch(sys, cfg, horizon, seeds[lo:lo + _BLOCK],
+                              trace_ceiling))
+    return totals.summary(horizon, trials, master_seed)
 
 
 @dataclass
@@ -377,7 +365,7 @@ class BoundCheck:
         upper:  riccati_map(mean_P[k-1])
 
     Violations are measured as the most negative eigenvalue beyond a
-    slack of ``slack_sigmas`` standard errors (scalar inflation of the
+    slack of ``_SLACK_SIGMAS`` standard errors (scalar inflation of the
     identity); positive magnitudes flag the step.
     """
 
@@ -395,8 +383,11 @@ class BoundCheck:
         return float(np.mean(self.flagged))
 
 
-def bound_check(summary: MonteCarloSummary, problem: MareProblem,
-                slack_sigmas: float = 5.0) -> BoundCheck:
+# Standard errors of mean_P that bound_check allows before flagging a step.
+_SLACK_SIGMAS = 5.0
+
+
+def bound_check(summary: MonteCarloSummary, problem: MareProblem) -> BoundCheck:
     """Check the expectation sandwich on the averaged reported covariance.
 
     The lower bound keeps the process noise inside the product with the
@@ -433,7 +424,7 @@ def bound_check(summary: MonteCarloSummary, problem: MareProblem,
         # The epsilon term keeps deterministic configurations (every slot
         # delivered) from flagging on pure round-off, where the standard
         # error is identically zero.
-        slack = (slack_sigmas * float(np.max(summary.se_P[k]))
+        slack = (_SLACK_SIGMAS * float(np.max(summary.se_P[k]))
                  + 1e-12 * (1.0 + abs(float(np.trace(cur)))))
         slack_arr[k - 1] = slack
         lo_eig = float(np.linalg.eigvalsh(sym(cur - lower))[0])

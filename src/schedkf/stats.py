@@ -30,6 +30,10 @@ __all__ = ["q_tail", "ComponentStats", "component_stats", "threshold_for_rate"]
 _SQRT2 = math.sqrt(2.0)
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 
+# threshold_for_rate returns a threshold whose rate is this close to the
+# target.
+RATE_TOL = 1e-10
+
 
 def q_tail(x: float) -> float:
     """Standard normal tail probability P(Z > x)."""
@@ -74,13 +78,12 @@ def component_stats(threshold: float, arrival_prob: float) -> ComponentStats:
                           high_rate=mu, drop_shrink=nu, low_info=xi, info_rate=lam)
 
 
-def threshold_for_rate(info_rate: float, arrival_prob: float,
-                       tol: float = 1e-10) -> float:
+def threshold_for_rate(info_rate: float, arrival_prob: float) -> float:
     """Invert the threshold -> info_rate map by bisection.
 
     The map is strictly decreasing with range (arrival_prob, 1], so any
     target in that interval has a unique preimage.  Returns a threshold
-    whose achieved rate is within ``tol`` of the target.
+    whose achieved rate is within ``RATE_TOL`` of the target.
     """
     if not (0.0 < arrival_prob < 1.0):
         raise ValueError(f"arrival_prob must lie in (0, 1), got {arrival_prob}")
@@ -101,16 +104,16 @@ def threshold_for_rate(info_rate: float, arrival_prob: float,
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         r = rate(mid)
-        if abs(r - info_rate) <= tol:
+        if abs(r - info_rate) <= RATE_TOL:
             return mid
         if r > info_rate:
             lo = mid
         else:
             hi = mid
     mid = 0.5 * (lo + hi)
-    if abs(rate(mid) - info_rate) <= tol:
+    if abs(rate(mid) - info_rate) <= RATE_TOL:
         return mid
     raise RuntimeError(
-        f"bisection failed to reach |rate - target| <= {tol} for "
+        f"bisection failed to reach |rate - target| <= {RATE_TOL} for "
         f"target {info_rate}, arrival_prob {arrival_prob}"
     )

@@ -6,15 +6,14 @@ import numpy as np
 import pytest
 
 from schedkf import (
-    EnergyLedger,
     LinearSystem,
     SchedulerConfig,
-    SlotOutcome,
     component_stats,
     derive_trial_seed,
     energy_ledger,
     simulate_trial,
 )
+from schedkf.channel import EnergyLedger, SlotOutcome
 
 # Plants for checking the power decision and the arrival draw where they
 # are made: in the closed-loop engine behind ``simulate_trial``.

@@ -129,18 +129,6 @@ class TestAnalyze:
         assert rep["necessary"]["ok"] is False
         assert rep["sufficient"]["ok"] is False
 
-    def test_analysis_flags_respected(self, tmp_path):
-        out = tmp_path / "flags"
-        cfg = base_config(out, analysis={"necessary": True,
-                                         "sufficient": False,
-                                         "mare_iterate": False})
-        path = write_config(tmp_path, cfg)
-        assert main(["analyze", str(path)]) == EXIT_OK
-        rep = json.loads((out / "analysis.json").read_text())
-        assert rep["necessary"] is not None
-        assert rep["sufficient"] is None
-
-
 class TestSolveThreshold:
     def test_prints_threshold(self, capsys):
         assert main(["solve-threshold", "--beta", "0.5",
@@ -154,7 +142,39 @@ class TestSolveThreshold:
                      "--lambda", "0.4"]) == EXIT_INVALID
 
 
+SCHEDULER = {"lambda_target": [0.6, 0.6], "beta": 0.5}
+
+# case -> (config entries replaced, extra arguments, text the error names)
+MALFORMED = {
+    "unknown-key": ({"trails": 5}, [], "trails"),
+    "analysis-block": ({"analysis": {"sufficient": False}}, [], "analysis"),
+    "analysis-list": ({"analysis": [1]}, [], "analysis"),
+    "unknown-scheduler-key": ({"scheduler": dict(SCHEDULER, betta=0.5)}, [],
+                              "betta"),
+    "scheduler-list": ({"scheduler": [1]}, [], "scheduler"),
+    "matrices-json": ({"output": {"matrices_json": False}}, [], "matrices_json"),
+    "output-list": ({"output": [1]}, [], "output"),
+    "negative-seed": ({"master_seed": -1}, [], "master_seed"),
+    "negative-seed-override": ({}, ["--seed", "-1"], "master_seed"),
+    "zero-ceiling": ({"trace_ceiling": 0}, [], "trace_ceiling"),
+    "nan-ceiling": ({"trace_ceiling": float("nan")}, [], "trace_ceiling"),
+    "infinite-ceiling": ({"trace_ceiling": float("inf")}, [], "trace_ceiling"),
+}
+
+
 class TestConfigHandling:
+    @pytest.mark.parametrize("case", MALFORMED)
+    def test_malformed_config_rejected_before_any_output(self, tmp_path, capsys,
+                                                         case):
+        entries, extra, named = MALFORMED[case]
+        out = tmp_path / "o"
+        path = write_config(tmp_path, {**base_config(out), **entries})
+        for command in ("simulate", "analyze"):
+            assert main([command, str(path), "--out", str(out)] + extra) \
+                == EXIT_INVALID
+            assert named in capsys.readouterr().err
+        assert not out.exists()
+
     def test_mixed_eta_lambda(self, tmp_path):
         cfg = base_config(tmp_path / "o")
         cfg["scheduler"] = {"eta": [1.5, None], "lambda_target": [None, 0.7],

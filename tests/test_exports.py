@@ -1,8 +1,12 @@
 """Export lists: every exported name exists and is listed once, so a
-function deleted from a module cannot linger in an ``__all__``."""
+function deleted from a module cannot linger in an ``__all__``; every
+package-level name is exported by its own module; and every name the
+README's Layout table gives for a module exists there."""
 
 import importlib
 import pkgutil
+import re
+from pathlib import Path
 
 import pytest
 
@@ -22,3 +26,31 @@ def test_all_names_resolve_once(module):
     missing = [name for name in names if not hasattr(module, name)]
     assert not missing, missing
 
+
+
+@pytest.mark.parametrize("name", [name for name in schedkf.__all__
+                                  if name != "__version__"])
+def test_package_names_are_module_exports(name):
+    module = importlib.import_module(getattr(schedkf, name).__module__)
+    assert name in getattr(module, "__all__", []), module.__name__
+
+
+def layout_rows():
+    """(module, backticked identifiers) for each row of the README's
+    Layout table."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Layout", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `(schedkf\.\w+)` \|(.*)\|$", section, re.MULTILINE)
+    assert rows, "no Layout table found"
+    return [(module, re.findall(r"`(\w+)`", contents)) for module, contents in rows]
+
+
+LAYOUT = layout_rows()
+
+
+@pytest.mark.parametrize("module_name, names", LAYOUT,
+                         ids=[module for module, _ in LAYOUT])
+def test_readme_layout_names_resolve(module_name, names):
+    module = importlib.import_module(module_name)
+    missing = [name for name in names if not hasattr(module, name)]
+    assert not missing, missing

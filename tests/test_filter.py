@@ -8,7 +8,6 @@ from schedkf import (
     LinearSystem,
     SlotUpdate,
     component_stats,
-    innovation_stats,
     predict,
     step,
     update_component,
@@ -71,26 +70,6 @@ class TestPredict:
     def test_scalar_arithmetic(self):
         st = predict(FilterState(x=[0.0], P=[[2.0]]), SCALAR)
         assert st.P[0, 0] == pytest.approx(1.2 * 2.0 * 1.2 + 1.0, rel=1e-15)
-
-
-class TestInnovationStats:
-    def test_zero_covariance(self):
-        z, sigma = innovation_stats(FilterState(x=[3.0], P=[[0.0]]), SCALAR, 0)
-        assert z == pytest.approx(3.0)
-        assert sigma == pytest.approx(1.0)
-
-    def test_zero_row(self):
-        sysm = LinearSystem(A=[[1.0]], C=[[0.0]], Q=[[1.0]], R=[[0.25]],
-                            x0_mean=[0.0], P0=[[1.0]])
-        z, sigma = innovation_stats(FilterState(x=[5.0], P=[[7.0]]), sysm, 0)
-        assert z == 0.0
-        assert sigma == pytest.approx(0.5)
-
-    def test_vector_row(self):
-        sysm = LinearSystem(A=np.eye(2), C=[[1.0, 1.0]], Q=np.eye(2), R=[[0.1]],
-                            x0_mean=[0.0, 0.0], P0=np.eye(2))
-        _, sigma = innovation_stats(FilterState(x=[0.0, 0.0], P=np.eye(2)), sysm, 0)
-        assert sigma == pytest.approx(np.sqrt(2.1), rel=1e-14)
 
 
 class TestUpdateComponent:

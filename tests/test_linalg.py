@@ -99,9 +99,9 @@ def test_certificate_agrees_with_eigenvalue_floor(n, scale):
                 1e-14, 1e-12, 1e-9, 0.1]
     stack = scale * np.stack([with_spectrum(spectrum(n, lo), seed)
                               for lo in smallest for seed in range(25)])
-    assert np.array_equal(psd_floor(stack), _eigen_floor(stack, BAND))
+    assert np.array_equal(psd_floor(stack), _eigen_floor(stack))
     for M in stack:
-        assert np.array_equal(psd_floor(M), _eigen_floor(M, BAND))
+        assert np.array_equal(psd_floor(M), _eigen_floor(M))
 
 
 DROP_SHRINK = component_stats(1.3, 0.4).drop_shrink

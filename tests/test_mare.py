@@ -18,18 +18,20 @@ from scipy.linalg import solve_discrete_are
 from schedkf import (
     LinearSystem,
     MareProblem,
-    cascade_envelope,
-    gain_envelope,
     analyze,
     iterate_fixed_point,
-    linear_part,
     mixture_weights,
     necessary_check,
-    optimal_gains,
     partial_update,
+    sufficient_check,
+)
+from schedkf.mare import (
+    cascade_envelope,
+    gain_envelope,
+    linear_part,
+    optimal_gains,
     riccati_envelope,
     riccati_map,
-    sufficient_check,
     time_update,
     update_cascade,
 )

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 from scipy.integrate import quad
 
-from schedkf import component_stats, q_tail, threshold_for_rate
+from schedkf import component_stats, threshold_for_rate
+from schedkf.stats import q_tail
 
 # Frozen from the adaptive-quadrature oracle below (see test_q_tail_matches_quadrature).
 Q_AT_ONE = 0.15865525393145707
@@ -164,6 +165,5 @@ def rate_targets(draw):
 @given(case=rate_targets())
 def test_threshold_for_rate_round_trips(case):
     beta, lam = case
-    tol = 1e-10
-    th = threshold_for_rate(lam, beta, tol=tol)
-    assert abs(component_stats(th, beta).info_rate - lam) <= tol
+    th = threshold_for_rate(lam, beta)
+    assert abs(component_stats(th, beta).info_rate - lam) <= 1e-10
