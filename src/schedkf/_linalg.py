@@ -44,13 +44,15 @@ def innovation_terms(P: np.ndarray, c: np.ndarray, r) -> tuple:
 
 
 def weighted_update(P: np.ndarray, Pc: np.ndarray, s, t) -> tuple:
-    """sym(P - t (Pc/s) (Pc)') and the gain Pc/s, with Pc and s from
+    """P - (t/s) (Pc)(Pc)' and the gain Pc/s, with Pc and s from
     ``innovation_terms`` and t (a scalar or per row) the slot's weight.
-    The rank-one term is not symmetric bit for bit, hence the ``sym``;
-    intermediate slot values feed only s > 0, so no PSD floor runs here."""
-    gain = Pc / np.asarray(s)[..., None]
-    t = np.asarray(t)[..., None, None]
-    return sym(P - t * (gain[..., :, None] * Pc[..., None, :])), gain
+    Entries (i, j) and (j, i) of (Pc)(Pc)' are the same product, so the
+    rank-one term is symmetric bit for bit and a symmetric P stays
+    exactly symmetric without a ``sym``.  Intermediate slot values feed
+    only s > 0, so no PSD floor runs here."""
+    s = np.asarray(s)
+    weight = (np.asarray(t) / s)[..., None, None]
+    return P - weight * (Pc[..., :, None] * Pc[..., None, :]), Pc / s[..., None]
 
 
 def psd_floor(M: np.ndarray) -> np.ndarray:

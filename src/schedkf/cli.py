@@ -17,7 +17,10 @@ data, not exit codes.
 A config is a JSON object with the keys system, scheduler, horizon,
 trials, master_seed, output and trace_ceiling; scheduler takes eta,
 lambda_target, beta, delta_high and delta_low, and output takes dir.
-Any other key is rejected, so a misspelt key cannot be silently ignored.
+Any other key is rejected, so a misspelt key cannot be silently ignored,
+and so is a number of the wrong JSON type: horizon, trials and
+master_seed must be integers, the other numbers may be any JSON number
+(never a bool, a string or a list).
 Thresholds may be given directly (``eta``) or as target information
 rates (``lambda_target``), one choice per component; resolved thresholds
 are echoed into effective_config.json, which re-ingests to the same
@@ -104,6 +107,20 @@ def _check_keys(obj, where: str) -> dict:
     return obj
 
 
+def _number(value, where: str) -> float:
+    """``value`` as a float, if it is a JSON number (not a bool)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{where} must be a number, got {value!r}")
+    return float(value)
+
+
+def _integer(value, where: str) -> int:
+    """``value``, if it is a JSON integer (not a bool)."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{where} must be an integer, got {value!r}")
+    return value
+
+
 def _check_seed(seed: int) -> int:
     if seed < 0:
         raise ConfigError(f"master_seed must be >= 0, got {seed}")
@@ -115,14 +132,15 @@ def _resolve_thresholds(sched: dict, m: int) -> np.ndarray:
     lam = sched.get("lambda_target")
     if eta is None and lam is None:
         raise ConfigError("scheduler needs 'eta' or 'lambda_target'")
-    eta = [None] * m if eta is None else list(eta)
-    lam = [None] * m if lam is None else list(lam)
-    if len(eta) != m or len(lam) != m:
-        raise ConfigError(f"'eta'/'lambda_target' must have one entry per "
-                          f"measurement component ({m})")
-    beta = sched.get("beta")
-    if beta is None:
+    eta = [None] * m if eta is None else eta
+    lam = [None] * m if lam is None else lam
+    if not (isinstance(eta, list) and isinstance(lam, list)
+            and len(eta) == len(lam) == m):
+        raise ConfigError(f"'eta'/'lambda_target' must be lists with one "
+                          f"entry per measurement component ({m})")
+    if sched.get("beta") is None:
         raise ConfigError("scheduler needs 'beta'")
+    beta = _number(sched["beta"], "beta")
     out = np.empty(m)
     for i in range(m):
         has_eta = eta[i] is not None
@@ -132,10 +150,11 @@ def _resolve_thresholds(sched: dict, m: int) -> np.ndarray:
                 f"component {i + 1}: exactly one of eta/lambda_target required"
             )
         if has_eta:
-            out[i] = float(eta[i])
+            out[i] = _number(eta[i], f"eta[{i}]")
         else:
             try:
-                out[i] = threshold_for_rate(float(lam[i]), float(beta))
+                out[i] = threshold_for_rate(
+                    _number(lam[i], f"lambda_target[{i}]"), beta)
             except ValueError as exc:
                 raise ConfigError(f"component {i + 1}: {exc}") from exc
     return out
@@ -160,16 +179,16 @@ def parse_config(data: dict) -> ExperimentConfig:
     try:
         scheduler = SchedulerConfig(
             thresholds=thresholds,
-            arrival_prob=float(sched_data["beta"]),
-            energy_high=float(sched_data.get("delta_high", 1.0)),
-            energy_low=float(sched_data.get("delta_low", 0.1)),
+            arrival_prob=_number(sched_data["beta"], "beta"),
+            energy_high=_number(sched_data.get("delta_high", 1.0), "delta_high"),
+            energy_low=_number(sched_data.get("delta_low", 0.1), "delta_low"),
         )
-    except (KeyError, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"invalid scheduler: {exc}") from exc
 
-    horizon = int(data.get("horizon", 0))
-    trials = int(data.get("trials", 0))
-    master_seed = _check_seed(int(data.get("master_seed", 0)))
+    horizon = _integer(data.get("horizon", 0), "horizon")
+    trials = _integer(data.get("trials", 0), "trials")
+    master_seed = _check_seed(_integer(data.get("master_seed", 0), "master_seed"))
     if horizon < 1:
         raise ConfigError(f"horizon must be >= 1, got {horizon}")
     if trials < 1:
@@ -177,7 +196,8 @@ def parse_config(data: dict) -> ExperimentConfig:
 
     output = _check_keys(data.get("output", {}), "output")
     out_dir = Path(output.get("dir", "results"))
-    ceiling = float(data.get("trace_ceiling", DEFAULT_TRACE_CEILING))
+    ceiling = _number(data.get("trace_ceiling", DEFAULT_TRACE_CEILING),
+                      "trace_ceiling")
     if not 0.0 < ceiling < np.inf:
         raise ConfigError(f"trace_ceiling must be finite and > 0, got {ceiling}")
     return ExperimentConfig(system=system, scheduler=scheduler, horizon=horizon,
@@ -262,9 +282,11 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="schedkf",
         description="Power-scheduled sequential Kalman filtering experiments",
-        epilog="simulate runs its trials in fixed blocks of 1024 and keeps "
-               "running sums, so peak memory does not grow with --trials; "
-               "results depend only on the config and the seed.",
+        epilog="simulate steps its trials in fixed blocks of 1024 and folds "
+               "each step into running sums as it is computed, so memory "
+               "holds one block's noise and one step of its state and does "
+               "not grow with --trials; results depend only on the config "
+               "and the seed.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -276,15 +276,21 @@ def iterate_fixed_point(problem: MareProblem, X0: Optional[np.ndarray] = None,
        applications 1, 2, 4, 8, ... take the optimal gains at the
        iterate; once their envelope has rho < 1, jump: run policy steps
        (solve the affine fixed point at the gains, reset the gains to
-       optimal_gains(time_update(X))) until a step is <= ``tol`` or
-       stops shrinking, then resume value iteration from there.  The
+       optimal_gains(time_update(X))) until a step is small (as in 3)
+       or stops shrinking, then resume value iteration from there.  The
        jump is taken once.
-    3. Convergence is declared only when max|map(X) - X| <= ``tol``.
+    3. Convergence is declared only when
+       max|map(X) - X| <= ``tol`` * max(1, max|X|): ``tol`` is relative
+       to the iterate's largest entry once that exceeds 1, because the
+       map's round-off floor is relative, and absolute below that.
+       Scaling Q, R and X0 by c > 0 scales every iterate by c, so the
+       verdict does not change with the units while max|X| stays >= 1.
        The trace passing ``DEFAULT_TRACE_CEILING`` (or turning
-       non-finite) means "diverged".  After the jump, a step that makes no new minimum for
-       50 map applications means round-off has stalled the iteration
-       above ``tol``: "undetermined".  Running out of ``DEFAULT_MAX_ITER`` map
-       applications plus policy steps is "undetermined" as well.
+       non-finite) means "diverged".  After the jump, a step that makes
+       no new minimum for 50 map applications means round-off has
+       stalled the iteration above that bound: "undetermined".  Running
+       out of ``DEFAULT_MAX_ITER`` map applications plus policy steps is
+       "undetermined" as well.
 
     ``iterations`` counts map applications plus policy steps, and
     ``trace_history`` holds the trace of X0 followed by the trace of
@@ -312,7 +318,7 @@ def iterate_fixed_point(problem: MareProblem, X0: Optional[np.ndarray] = None,
         if not np.isfinite(tr) or tr > DEFAULT_TRACE_CEILING:
             return result("diverged")
         step = float(np.max(np.abs(Xn - X)))
-        if step <= tol:
+        if _settled(step, X, tol):
             return result("converged", Xn)
         X = Xn
         if jumped:
@@ -326,6 +332,12 @@ def iterate_fixed_point(problem: MareProblem, X0: Optional[np.ndarray] = None,
             next_probe *= 2
             X, jumped = _policy_steps(X, problem, tol, traces)
     return result("undetermined")
+
+
+def _settled(step: float, X: np.ndarray, tol: float) -> bool:
+    """The convergence test of ``iterate_fixed_point``, for a step taken
+    from the iterate X."""
+    return step <= tol * max(1.0, float(np.max(np.abs(X))))
 
 
 def _policy_steps(X: np.ndarray, problem: MareProblem, tol: float,
@@ -346,9 +358,10 @@ def _policy_steps(X: np.ndarray, problem: MareProblem, tol: float,
         if Xp is None:
             break
         step = float(np.max(np.abs(Xp - X)))
+        settled = _settled(step, X, tol)
         X, jumped = Xp, True
         traces.append(float(np.trace(X)))
-        if step <= tol or step >= last:
+        if settled or step >= last:
             break
         last = step
     return X, jumped

@@ -120,10 +120,17 @@ class LinearSystem:
 
     @classmethod
     def from_dict(cls, data: dict) -> "LinearSystem":
-        """Build from a JSON-style dict with keys A, C, Q, R, x0_mean, P0."""
-        missing = {"A", "C", "Q", "R", "x0_mean", "P0"} - set(data)
+        """Build from a JSON-style dict with exactly the keys A, C, Q, R,
+        x0_mean, P0."""
+        if not isinstance(data, dict):
+            raise ValueError("system definition must be a JSON object")
+        keys = {"A", "C", "Q", "R", "x0_mean", "P0"}
+        missing = keys - set(data)
         if missing:
             raise ValueError(f"system definition missing keys: {sorted(missing)}")
+        unknown = set(data) - keys
+        if unknown:
+            raise ValueError(f"unknown system key(s) {sorted(unknown)}")
         return cls(A=data["A"], C=data["C"], Q=data["Q"], R=data["R"],
                    x0_mean=data["x0_mean"], P0=data["P0"])
 

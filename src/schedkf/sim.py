@@ -2,10 +2,12 @@
 
 One trial couples the true plant, the sensor-side scheduler, the lossy
 channel, and the remote estimator for a fixed horizon.  Trials are
-vectorized: ``monte_carlo`` runs them in fixed blocks of ``_BLOCK`` trials
-with batched array operations and folds each block into running
-aggregates, which keeps tens of thousands of trials affordable in time
-and memory while preserving per-trial reproducibility.
+vectorized: ``_run_batch`` steps a block of trials with batched array
+operations and yields each step's state, and ``monte_carlo`` runs fixed
+blocks of ``_BLOCK`` trials, folding every step into running per-step
+aggregates as it comes.  Only a block's noise has a horizon axis, which
+keeps tens of thousands of trials affordable in time and memory while
+preserving per-trial reproducibility.
 
 The loop is integrated in error coordinates e = x_true - x_estimate.
 Innovations, scheduler decisions, gains, and covariances are all exact
@@ -31,8 +33,9 @@ consumes, in this order,
 
 Arrival uniforms are drawn for every slot and simply ignored on
 high-power slots, so the stream position never depends on scheduler
-decisions.  ``simulate_trial`` is the same engine with a batch of one,
-and trial seeds derive from ``derive_trial_seed(master_seed, index)``.
+decisions.  The arrival bits U < beta are computed once per block.
+``simulate_trial`` stacks the steps of the same engine with a batch of
+one, and trial seeds derive from ``derive_trial_seed(master_seed, index)``.
 Every row of a batch is computed as it would be alone, and the block
 size is a constant, so the summary depends only on the config and the
 master seed.
@@ -137,8 +140,15 @@ def _trial_noise(seed: int, n: int, m: int, horizon: int):
 
 
 def _run_batch(sys: LinearSystem, cfg: SchedulerConfig, horizon: int,
-               seeds: Sequence[int], trace_ceiling: float):
-    """Run a batch of closed-loop trials; returns stacked raw arrays."""
+               seeds: Sequence[int]):
+    """Run a batch of closed-loop trials one step at a time.
+
+    Yields ``(k, e, P, high, arrived, eps)`` for k = 0..horizon: the
+    errors (N, n) and covariances (N, n, n) after step k, and the step's
+    power decisions, arrival bits and normalized innovations, each
+    (N, m) and None at k = 0.  Nothing yielded has a horizon axis; only
+    the block's noise does, and each raw draw is freed once transformed.
+    """
     n, m = sys.n, sys.m
     if cfg.m != m:
         raise ValueError(f"scheduler has {cfg.m} thresholds but the system "
@@ -148,7 +158,6 @@ def _run_batch(sys: LinearSystem, cfg: SchedulerConfig, horizon: int,
     stats = scheduler_stats(cfg)
     shrink = np.array([s.drop_shrink for s in stats])
     thresholds = cfg.thresholds
-    beta = cfg.arrival_prob
 
     L0 = psd_factor(sys.P0)
     LQ = psd_factor(sys.Q)
@@ -161,62 +170,39 @@ def _run_batch(sys: LinearSystem, cfg: SchedulerConfig, horizon: int,
     for t, seed in enumerate(seeds):
         Z0[t], W[t], V[t], U[t] = _trial_noise(seed, n, m, K)
 
+    # Stacked matmul and einsum compute every row as it would be alone;
+    # a 2-D product over the rows would not.
     w_noise = W @ LQ.T
+    del W
     v_noise = V @ LR.T
+    del V
+    arrived = U < cfg.arrival_prob
+    del U
 
     # e is the estimation error x_true - x_estimate; the slot innovation
     # is c e + v, so the absolute state never has to be formed.
-    e = Z0 @ L0.T
+    e = np.einsum("ij,tj->ti", L0, Z0)
     P = np.tile(sys.P0, (N, 1, 1))
-    errors = np.empty((N, K + 1, n))
-    covs = np.empty((N, K + 1, n, n))
-    errors[:, 0] = e
-    covs[:, 0] = P
-    high = np.empty((N, K, m), dtype=bool)
-    arrived = np.empty((N, K, m), dtype=bool)
-    innovations = np.empty((N, K, m))
+    yield 0, e, P, None, None, None
 
     r_diag = sys.r_diag()
     for k in range(1, K + 1):
         e = np.einsum("ij,tj->ti", sys.A, e) + w_noise[:, k - 1]
         P = _linalg.time_update(P, sys.A, sys.Q)
+        arr = arrived[:, k - 1]
+        high = np.empty((N, m), dtype=bool)
+        eps = np.empty((N, m))
         for i in range(m):
             c = sys.C[i]
             Pc, s_var = innovation_terms(P, c, r_diag[i])
             z = np.einsum("tj,j->t", e, c) + v_noise[:, k - 1, i]
-            eps = z / np.sqrt(s_var)
-            gam = np.abs(eps) > thresholds[i]
-            arr = U[:, k - 1, i] < beta
-            deliv = gam | arr
+            eps[:, i] = z / np.sqrt(s_var)
+            high[:, i] = np.abs(eps[:, i]) > thresholds[i]
+            deliv = high[:, i] | arr[:, i]
             P, gain = weighted_update(P, Pc, s_var, np.where(deliv, 1.0, shrink[i]))
             e = e - (deliv * z)[:, None] * gain
-            high[:, k - 1, i] = gam
-            arrived[:, k - 1, i] = arr
-            innovations[:, k - 1, i] = eps
         P = psd_floor(P)
-        errors[:, k] = e
-        covs[:, k] = P
-
-    delivered = high | arrived
-    energy = np.where(high, cfg.energy_high, cfg.energy_low)
-
-    # Truncate trials whose covariance trace passed the ceiling.
-    tr = np.einsum("tkii->tk", covs)
-    over = tr > trace_ceiling
-    truncated_at = np.full(N, -1, dtype=int)
-    for t in np.nonzero(over.any(axis=1))[0]:
-        k0 = int(np.argmax(over[t]))
-        truncated_at[t] = k0
-        errors[t, k0:] = np.nan
-        covs[t, k0:] = np.nan
-        innovations[t, max(k0 - 1, 0):] = np.nan
-
-    return {
-        "errors": errors, "covs": covs,
-        "high": high, "arrived": arrived, "delivered": delivered,
-        "innovations": innovations, "energy": energy,
-        "truncated_at": truncated_at,
-    }
+        yield k, e, P, high, arr, eps
 
 
 def simulate_trial(sys: LinearSystem, cfg: SchedulerConfig, horizon: int,
@@ -225,18 +211,36 @@ def simulate_trial(sys: LinearSystem, cfg: SchedulerConfig, horizon: int,
     """One closed-loop trial, bit-reproducible from its seed."""
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
-    raw = _run_batch(sys, cfg, horizon, [int(seed)], trace_ceiling)
-    trunc = int(raw["truncated_at"][0])
+    n, m, K = sys.n, sys.m, horizon
+    errors = np.empty((K + 1, n))
+    covs = np.empty((K + 1, n, n))
+    high = np.empty((K, m), dtype=bool)
+    arrived = np.empty((K, m), dtype=bool)
+    innovations = np.empty((K, m))
+    for k, e, P, hi, arr, eps in _run_batch(sys, cfg, K, [int(seed)]):
+        errors[k] = e[0]
+        covs[k] = P[0]
+        if k:
+            high[k - 1] = hi[0]
+            arrived[k - 1] = arr[0]
+            innovations[k - 1] = eps[0]
+
+    over = np.flatnonzero(np.einsum("kii->k", covs) > trace_ceiling)
+    trunc = int(over[0]) if over.size else None
+    if trunc is not None:
+        errors[trunc:] = np.nan
+        covs[trunc:] = np.nan
+        innovations[max(trunc - 1, 0):] = np.nan
     return TrialRecord(
         seed=int(seed),
-        errors=raw["errors"][0],
-        covariances=raw["covs"][0],
-        high_power=raw["high"][0],
-        arrived=raw["arrived"][0],
-        delivered=raw["delivered"][0],
-        innovations=raw["innovations"][0],
-        energy=raw["energy"][0],
-        truncated_at=None if trunc < 0 else trunc,
+        errors=errors,
+        covariances=covs,
+        high_power=high,
+        arrived=arrived,
+        delivered=high | arrived,
+        innovations=innovations,
+        energy=np.where(high, cfg.energy_high, cfg.energy_low),
+        truncated_at=trunc,
     )
 
 
@@ -252,20 +256,24 @@ _BLOCK = 1024
 
 
 class _Totals:
-    """Running per-step aggregates over blocks of trials.
+    """Running per-step aggregates, folded in one step of one block at a
+    time.
 
-    Within a block, the covariance mean and sum of squared deviations M2
-    take two passes; blocks then merge with the pairwise update of Chan,
-    Golub & LeVeque (The American Statistician 37(3), 1983), which
-    extends Welford's online variance (Technometrics 4(3), 1962):
+    At each step the covariance mean and sum of squared deviations M2 of
+    the block's live rows take two passes; they then merge into the
+    running ones with the pairwise update of Chan, Golub & LeVeque (The
+    American Statistician 37(3), 1983), which extends Welford's online
+    variance (Technometrics 4(3), 1962):
 
         delta = mean_b - mean,  mean += delta n_b / n,
         M2 += M2_b + delta^2 n_a n_b / n,   n = n_a + n_b.
 
-    A step counts only the trials still live there (not yet truncated).
+    A row is live until the first step whose covariance trace passes the
+    ceiling, where ``simulate_trial`` truncates it; a step counts only
+    the rows live there.
     """
 
-    def __init__(self, horizon: int, n: int, m: int):
+    def __init__(self, horizon: int, n: int, m: int, cfg: SchedulerConfig):
         K = horizon
         self.count = np.zeros(K + 1, dtype=np.int64)
         self.mean_P = np.zeros((K + 1, n, n))
@@ -274,37 +282,36 @@ class _Totals:
         self.energy = np.zeros(K)
         self.high = np.zeros((K, m), dtype=np.int64)
         self.truncated = 0
+        self.levels = (cfg.energy_high, cfg.energy_low)
 
-    def add(self, raw: dict) -> None:
-        covs, errors = raw["covs"], raw["errors"]
-        trunc = raw["truncated_at"]
-        steps = covs.shape[1]
-        live = np.arange(steps) < np.where(trunc < 0, steps, trunc)[:, None]
-        energy = raw["energy"].sum(axis=2)
-        all_live = bool(live.all())
-        if not all_live:
-            # truncated tails are NaN; zero them so that the sums skip them
-            covs = np.where(live[:, :, None, None], covs, 0.0)
-            errors = np.where(live[:, :, None], errors, 0.0)
-            energy = np.where(live[:, 1:], energy, 0.0)
+    def add(self, steps, trace_ceiling: float) -> None:
+        """Fold in the steps of one ``_run_batch`` block as they come."""
+        live = None
+        for k, e, P, high, _, _ in steps:
+            over = np.einsum("tii->t", P) > trace_ceiling
+            live = ~over if live is None else live & ~over
+            if not live.all():
+                e, P = e[live], P[live]
+                high = None if high is None else high[live]
+            self._fold(k, e, P, high)
+        self.truncated += int(np.count_nonzero(~live))
 
-        n_b = live.sum(axis=0)
-        mean_b = covs.sum(axis=0) / np.maximum(n_b, 1)[:, None, None]
-        dev = covs - mean_b
-        if not all_live:
-            dev[~live] = 0.0
-        n_ab = self.count + n_b
-        w = (n_b / np.maximum(n_ab, 1))[:, None, None]
-        delta = mean_b - self.mean_P
-        self.mean_P += delta * w
-        self.m2_P += (np.einsum("tkij,tkij->kij", dev, dev)
-                      + delta * delta * (self.count[:, None, None] * w))
-        self.count = n_ab
-
-        self.outer += np.einsum("tki,tkj->kij", errors, errors)
-        self.energy += energy.sum(axis=0)
-        self.high += (raw["high"] & live[:, 1:, None]).sum(axis=0)
-        self.truncated += int(np.count_nonzero(trunc >= 0))
+    def _fold(self, k: int, e: np.ndarray, P: np.ndarray, high) -> None:
+        n_b = P.shape[0]
+        mean_b = P.sum(axis=0) / max(n_b, 1)
+        dev = P - mean_b
+        n_a = self.count[k]
+        n_ab = n_a + n_b
+        w = n_b / max(n_ab, 1)
+        delta = mean_b - self.mean_P[k]
+        self.mean_P[k] += delta * w
+        self.m2_P[k] += (np.einsum("tij,tij->ij", dev, dev)
+                         + delta * delta * (n_a * w))
+        self.count[k] = n_ab
+        self.outer[k] += np.einsum("ti,tj->ij", e, e)
+        if k:
+            self.energy[k - 1] += np.where(high, *self.levels).sum()
+            self.high[k - 1] += high.sum(axis=0)
 
     def summary(self, horizon: int, trials: int,
                 master_seed: int) -> MonteCarloSummary:
@@ -335,10 +342,11 @@ def monte_carlo(sys: LinearSystem, cfg: SchedulerConfig, horizon: int,
 
     Trial t equals ``simulate_trial`` at ``derive_trial_seed(master_seed,
     t)``, so the summary is reproducible bit for bit.  Trials run in fixed
-    blocks of ``_BLOCK``, in trial order; each block adds to running
-    per-step aggregates and is dropped before the next one is built, so
-    one block is in memory at a time and peak memory is set by the block
-    size, not by the trial count.
+    blocks of ``_BLOCK``, in trial order, and each step of a block folds
+    into running per-step aggregates as soon as it is computed.  Only the
+    block's noise and one step of its state are ever in memory, so peak
+    memory is set by the block size, not by the trial count or by a
+    trials x horizon array of results.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -346,10 +354,10 @@ def monte_carlo(sys: LinearSystem, cfg: SchedulerConfig, horizon: int,
         raise ValueError(f"horizon must be >= 1, got {horizon}")
 
     seeds = [derive_trial_seed(master_seed, t) for t in range(trials)]
-    totals = _Totals(horizon, sys.n, sys.m)
+    totals = _Totals(horizon, sys.n, sys.m, cfg)
     for lo in range(0, trials, _BLOCK):
-        totals.add(_run_batch(sys, cfg, horizon, seeds[lo:lo + _BLOCK],
-                              trace_ceiling))
+        totals.add(_run_batch(sys, cfg, horizon, seeds[lo:lo + _BLOCK]),
+                   trace_ceiling)
     return totals.summary(horizon, trials, master_seed)
 
 

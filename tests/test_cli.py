@@ -159,6 +159,14 @@ MALFORMED = {
     "zero-ceiling": ({"trace_ceiling": 0}, [], "trace_ceiling"),
     "nan-ceiling": ({"trace_ceiling": float("nan")}, [], "trace_ceiling"),
     "infinite-ceiling": ({"trace_ceiling": float("inf")}, [], "trace_ceiling"),
+    "horizon-list": ({"horizon": [5]}, [], "horizon"),
+    "beta-list": ({"scheduler": dict(SCHEDULER, beta=[0.5])}, [], "beta"),
+    "trials-string": ({"trials": "10"}, [], "trials"),
+    "horizon-fraction": ({"horizon": 5.5}, [], "horizon"),
+    "horizon-bool": ({"horizon": True}, [], "horizon"),
+    "unknown-system-key": ({"system": dict(EXAMPLE_SYSTEM, Qq=[[2.0]])}, [],
+                           "Qq"),
+    "system-number": ({"system": 5}, [], "system"),
 }
 
 

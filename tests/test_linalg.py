@@ -6,7 +6,7 @@ the time update on stacks against single rows."""
 import numpy as np
 import pytest
 
-from schedkf import component_stats
+from schedkf import _linalg, component_stats
 from schedkf._linalg import (
     _eigen_floor,
     innovation_terms,
@@ -170,9 +170,20 @@ class TestWeightedUpdate:
         assert np.array_equal(out, np.swapaxes(out, -1, -2))
 
     @pytest.mark.parametrize("n", [2, 4])
-    def test_output_exactly_symmetric(self, n):
+    def test_output_exactly_symmetric(self, n, monkeypatch):
+        # the rank-one term is symmetric bit for bit, so a symmetric P
+        # stays so with no symmetrization anywhere in the kernel
+        def no_sym(M):
+            raise AssertionError("weighted_update called sym")
+
+        monkeypatch.setattr(_linalg, "sym", no_sym)
         rng = np.random.default_rng(20 + n)
-        P = random_psd(rng, n, 50)
+        P = sym(random_psd(rng, n, 50))
         Pc, s = innovation_terms(P, rng.standard_normal(n), 0.7)
-        out, _ = weighted_update(P, Pc, s, DROP_SHRINK)
-        assert np.array_equal(out, np.swapaxes(out, -1, -2))
+        per_row = np.where(rng.random(50) < 0.5, 1.0, DROP_SHRINK)
+        for t in (DROP_SHRINK, per_row):
+            out, _ = weighted_update(P, Pc, s, t)
+            assert np.array_equal(out, np.swapaxes(out, -1, -2))
+            for row in (0, 17):
+                one, _ = weighted_update(P[row], Pc[row], s[row], 0.3)
+                assert np.array_equal(one, one.T)

@@ -426,6 +426,53 @@ class TestOperatorProperties:
             assert min_eig(prior) >= -1e-10
 
 
+# Two stable n=4, m=1 problems whose fixed points reach 8.6e4 and 6.1e4
+# (benchmark analyze seeds 92 and 294).  The map's round-off there is
+# relative, so an absolute tol of 1e-9 left both "undetermined" after
+# 214 and 106 iterations; their copies with Q, R and P0 scaled by 1e-4
+# converged.
+LARGE_FIXED_POINTS = [
+    dict(A=[[0.04871208321637743, -0.8451458085628835, -0.7839354182183634,
+             0.5120847315449039],
+            [-0.16255600284029825, 0.19918192887022107, 1.0780400274292292,
+             -0.5337109154968143],
+            [0.6764264547244497, -0.06827839190005683, 0.16148914079591442,
+             -1.6013296795298786],
+            [0.13262036858328335, 0.08434735552144838, -0.8026939158387711,
+             0.012087640763173285]],
+         C=[[-0.21612655789728008, -1.1766418678633117, -0.7098451092623856,
+             0.10397604159390432]],
+         Q=[[1.3868448416328412, -1.1426585883530294, 0.5181304665656786,
+             0.27755592586944156],
+            [-1.1426585883530294, 1.633236631018589, -0.6760421997312092,
+             0.02608556923089805],
+            [0.5181304665656786, -0.6760421997312092, 0.6266880462591754,
+             0.39807250596403876],
+            [0.27755592586944156, 0.02608556923089805, 0.39807250596403876,
+             1.0065124900917717]],
+         r=1.6457338584046701, rate=0.8858475254044432),
+    dict(A=[[0.9410322626408938, 0.7442171830348397, 1.2251859538814767,
+             -0.4746444309931098],
+            [0.9834525166339186, 0.3945420833680126, 0.6074825700088282,
+             0.2571253593692531],
+            [0.3309162848771412, -0.9153785905467096, -0.8424471806521379,
+             -0.9167739378524727],
+            [1.3702229666444397, -1.2646375724214, 0.4790957997796653,
+             -0.2745408517015096]],
+         C=[[-0.9090340383459903, 1.2139504575032931, 0.7671248243192601,
+             -0.7072948271276522]],
+         Q=[[1.1377057129202686, -0.24002447915626146, -0.04063131102173152,
+             -0.029650899558744143],
+            [-0.24002447915626146, 0.5081483059441033, 0.06356742833982977,
+             -0.04752235805978543],
+            [-0.04063131102173152, 0.06356742833982977, 1.392242825989176,
+             0.39784789503291257],
+            [-0.029650899558744143, -0.04752235805978543, 0.39784789503291257,
+             1.146456224308314]],
+         r=0.6724058556016093, rate=0.8553953007012011),
+]
+
+
 class TestFixedPoint:
     def test_worked_example_converges_and_is_seed_independent(self):
         prob = example_problem()
@@ -470,6 +517,23 @@ class TestFixedPoint:
         fp = iterate_fixed_point(prob)
         assert fp.status == "diverged"
         assert fp.fixed_point is None
+
+    @pytest.mark.parametrize("case", LARGE_FIXED_POINTS)
+    def test_tolerance_is_relative(self, case):
+        # the map is homogeneous in (X, Q, R), so the fixed point of the
+        # copy scaled by 1e-4 is 1e-4 times the original one
+        def problem(scale):
+            sysm = LinearSystem(A=case["A"], C=case["C"],
+                                Q=scale * np.asarray(case["Q"]),
+                                R=[[scale * case["r"]]], x0_mean=np.zeros(4),
+                                P0=scale * np.eye(4))
+            return MareProblem(system=sysm, info_rates=[case["rate"]])
+
+        fp = iterate_fixed_point(problem(1.0))
+        small = iterate_fixed_point(problem(1e-4))
+        assert fp.converged and small.converged
+        err = np.max(np.abs(fp.fixed_point - 1e4 * small.fixed_point))
+        assert err <= 1e-9 * np.max(np.abs(fp.fixed_point))
 
     def test_rejects_bad_tol(self):
         with pytest.raises(ValueError):
@@ -547,20 +611,22 @@ class TestBoundary:
 
     def test_round_off_stall_is_undetermined(self):
         # the fixed point's largest entry is ~1.7e4, so the step jitters
-        # around 1e-10..1e-9 from cancellation and never reaches 1e-12
+        # around 1e-11..1e-9 from cancellation and never reaches the
+        # relative bound 1e-16 * 1.7e4
         sysm = LinearSystem(A=[[-0.5176, 0.7119], [0.1130, -1.1638]],
                             C=[[0.3488, 0.6957], [0.4078, 0.4019]],
                             Q=[[0.2155, -0.0253], [-0.0253, 1.6036]],
                             R=np.diag([0.2208, 1.7700]),
                             x0_mean=[0.0, 0.0], P0=np.eye(2))
         prob = MareProblem(system=sysm, info_rates=[0.163, 0.351])
-        fp = iterate_fixed_point(prob, tol=1e-12)
+        fp = iterate_fixed_point(prob, tol=1e-16)
         assert fp.status == "undetermined"
         assert fp.iterations < 1000
-        fp = iterate_fixed_point(prob, tol=1e-9)
+        fp = iterate_fixed_point(prob, tol=1e-12)
         assert fp.converged
         assert np.max(np.abs(riccati_map(fp.fixed_point, prob)
-                             - fp.fixed_point)) <= 1e-9
+                             - fp.fixed_point)) <= 1e-12 * np.max(
+                                 np.abs(fp.fixed_point))
 
     def test_full_rates_match_dare(self):
         # rate 1 is the classical filter: the posterior of the DARE solution
@@ -597,10 +663,7 @@ class TestPolicyIterationProperties:
     def test_agrees_with_value_iteration_and_certifies(self, prob):
         want = value_iteration(prob)
         scale = 1.0 if want is None else 1.0 + np.max(np.abs(want))
-        # the map's round-off floor is relative (~1e-12 of the largest
-        # entry, more for ill-conditioned problems), so an absolute tol
-        # below it ends in "undetermined" by design
-        fp = iterate_fixed_point(prob, tol=1e-10 * scale)
+        fp = iterate_fixed_point(prob)
         if want is not None:
             assert fp.converged
             assert np.max(np.abs(fp.fixed_point - want)) <= 1e-7 * scale

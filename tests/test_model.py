@@ -2,8 +2,18 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
-from schedkf import LinearSystem, validate, whiten
+from schedkf import (
+    FilterState,
+    LinearSystem,
+    SlotUpdate,
+    component_stats,
+    step,
+    validate,
+    whiten,
+)
 
 
 def example_system() -> LinearSystem:
@@ -94,7 +104,42 @@ class TestValidate:
         assert not rep.ok
 
 
+@hst.composite
+def diagonal_r_systems(draw):
+    """A system with diagonal R (n in 1..4, m in 1..3, r_i in [0.05, 10])
+    and fixed (high power, arrived) bits for 30 steps of m slots."""
+    n = draw(hst.integers(1, 4))
+    m = draw(hst.integers(1, 3))
+    r = draw(hst.lists(hst.floats(0.05, 10.0), min_size=m, max_size=m))
+    rng = np.random.default_rng(draw(hst.integers(0, 2**32 - 1)))
+    A = rng.standard_normal((n, n))
+    A *= rng.uniform(0.3, 1.2) / max(np.max(np.abs(np.linalg.eigvals(A))), 1e-12)
+    G = rng.standard_normal((n, n))
+    sysm = LinearSystem(A=A, C=rng.standard_normal((m, n)),
+                        Q=G @ G.T / n + 0.1 * np.eye(n), R=np.diag(r),
+                        x0_mean=np.zeros(n), P0=np.eye(n))
+    return sysm, rng.random((30, m, 2)) < 0.5
+
+
 class TestWhiten:
+    @settings(max_examples=60, deadline=None)
+    @given(case=diagonal_r_systems())
+    def test_filter_covariances_invariant(self, case):
+        # with the delivery bits fixed no threshold decision can tie, so
+        # the two covariance sequences differ by round-off only
+        sysm, bits = case
+        stats = [component_stats(1.0, 0.3)] * sysm.m
+        systems = (sysm, whiten(sysm))
+        states = [FilterState.initial(sys_) for sys_ in systems]
+        for step_bits in bits:
+            slots = [SlotUpdate(i, 0.0 if high or arrived else None,
+                                bool(high), bool(arrived))
+                     for i, (high, arrived) in enumerate(step_bits)]
+            states = [step(st, sys_, slots, stats)[0]
+                      for st, sys_ in zip(states, systems)]
+            P, P_white = states[0].P, states[1].P
+            assert np.max(np.abs(P_white - P)) <= 1e-10 * (1.0 + np.max(np.abs(P)))
+
     def test_identity_r_is_noop(self):
         sysm = LinearSystem(A=[[1.0]], C=[[2.0], [3.0]], Q=[[1.0]],
                             R=np.eye(2), x0_mean=[0.0], P0=[[1.0]])

@@ -44,6 +44,7 @@ OP_LEVEL_SYSTEM = LinearSystem(A=[[0.9, 0.1], [0.0, 0.8]],
                                R=np.diag([0.4, 0.7]), x0_mean=[1.0, -0.5],
                                P0=np.eye(2))
 OP_LEVEL_CFG = SchedulerConfig(thresholds=[0.8, 1.5], arrival_prob=0.4)
+DENSE_N3_M2 = random_observable_system(np.random.default_rng(7), 3, 2)
 
 
 @hst.composite
@@ -92,6 +93,21 @@ class TestDeterminism:
         outer = rec.errors[:, :, None] * rec.errors[:, None, :]
         assert np.array_equal(summ.empirical_cov, outer)
         assert np.array_equal(summ.energy_per_step, rec.step_energy())
+
+    def test_batch_rows_equal_single_trials(self):
+        # every row of a dense block is computed as it would be alone
+        seeds = [derive_trial_seed(8, t) for t in range(6)]
+        records = [simulate_trial(DENSE_N3_M2, OP_LEVEL_CFG, 30, seed)
+                   for seed in seeds]
+        for k, e, P, high, arrived, eps in sim._run_batch(
+                DENSE_N3_M2, OP_LEVEL_CFG, 30, seeds):
+            for t, rec in enumerate(records):
+                assert np.array_equal(e[t], rec.errors[k])
+                assert np.array_equal(P[t], rec.covariances[k])
+                if k:
+                    assert np.array_equal(high[t], rec.high_power[k - 1])
+                    assert np.array_equal(arrived[t], rec.arrived[k - 1])
+                    assert np.array_equal(eps[t], rec.innovations[k - 1])
 
     def test_trial_order_invariance_within_epsilon(self):
         # aggregation uses pairwise summation, so permuting the trials can
@@ -151,21 +167,28 @@ def full_array_summary(records):
 
 class TestStreamedSummary:
     # Rates far below the critical ones and a low ceiling: trials truncate
-    # at different steps.  At horizon 40 some survive; at horizon 60 all
-    # truncate, so the last steps have no live trial anywhere.
+    # at different steps.  On the worked example some survive at horizon
+    # 40; at horizon 60 all truncate, so the last steps have no live trial
+    # anywhere.  The dense system truncates every trial by step 16.
     CFG = SchedulerConfig.from_rates([0.1, 0.1], arrival_prob=0.02)
-    CEILING = 50.0
 
-    @pytest.mark.parametrize("horizon", [40, 60])
-    def test_matches_full_array_oracle(self, monkeypatch, horizon):
+    @pytest.mark.parametrize("sysm, horizon, ceiling", [
+        pytest.param(EXAMPLE, 40, 50.0, id="40"),
+        pytest.param(EXAMPLE, 60, 50.0, id="60"),
+        pytest.param(random_observable_system(np.random.default_rng(5), 3, 2,
+                                              spectral_radius=1.2),
+                     40, 300.0, id="dense-n3-m2"),
+    ])
+    def test_matches_full_array_oracle(self, monkeypatch, sysm, horizon,
+                                       ceiling):
         trials, block = 37, 8
-        default = monte_carlo(EXAMPLE, self.CFG, horizon, trials=trials,
-                              master_seed=4, trace_ceiling=self.CEILING)
+        default = monte_carlo(sysm, self.CFG, horizon, trials=trials,
+                              master_seed=4, trace_ceiling=ceiling)
         monkeypatch.setattr(sim, "_BLOCK", block)
-        summ = monte_carlo(EXAMPLE, self.CFG, horizon, trials=trials,
-                           master_seed=4, trace_ceiling=self.CEILING)
-        records = trial_records(EXAMPLE, self.CFG, horizon, trials, 4,
-                                trace_ceiling=self.CEILING)
+        summ = monte_carlo(sysm, self.CFG, horizon, trials=trials,
+                           master_seed=4, trace_ceiling=ceiling)
+        records = trial_records(sysm, self.CFG, horizon, trials, 4,
+                                trace_ceiling=ceiling)
 
         # the case is the one intended: uneven last block, truncation
         # inside a block, and a step dead in one block but live in another
@@ -188,7 +211,7 @@ class TestStreamedSummary:
         assert np.array_equal(summ.high_rate_per_step, default.high_rate_per_step,
                               equal_nan=True)
         assert summ.truncated_trials == default.truncated_trials == np.sum(stop <= horizon)
-        if horizon == 60:
+        if np.all(stop <= horizon):
             assert np.isnan(summ.mean_P[-1]).all()
             assert np.isnan(summ.se_P[-1]).all()
 
@@ -205,6 +228,21 @@ class TestStreamedSummary:
                 tracemalloc.stop()
 
         assert peak(16 * 64) <= 1.15 * peak(64)
+
+    def test_block_peak_is_set_by_its_noise(self):
+        # a block keeps its noise and one step of state; nothing else in
+        # it has a horizon axis
+        sysm = random_observable_system(np.random.default_rng(3), 4, 1)
+        cfg = SchedulerConfig(thresholds=[1.0], arrival_prob=0.5)
+        trials, horizon = 512, 200
+        noise_bytes = trials * horizon * (sysm.n + 2 * sysm.m) * 8
+        tracemalloc.start()
+        try:
+            monte_carlo(sysm, cfg, horizon, trials=trials, master_seed=5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * noise_bytes
 
 
 class TestEngineConsistency:
