@@ -127,7 +127,7 @@ def _check_seed(seed: int) -> int:
     return seed
 
 
-def _resolve_thresholds(sched: dict, m: int) -> np.ndarray:
+def _resolve_thresholds(sched: dict, m: int, beta: float) -> np.ndarray:
     eta = sched.get("eta")
     lam = sched.get("lambda_target")
     if eta is None and lam is None:
@@ -138,9 +138,6 @@ def _resolve_thresholds(sched: dict, m: int) -> np.ndarray:
             and len(eta) == len(lam) == m):
         raise ConfigError(f"'eta'/'lambda_target' must be lists with one "
                           f"entry per measurement component ({m})")
-    if sched.get("beta") is None:
-        raise ConfigError("scheduler needs 'beta'")
-    beta = _number(sched["beta"], "beta")
     out = np.empty(m)
     for i in range(m):
         has_eta = eta[i] is not None
@@ -175,11 +172,14 @@ def parse_config(data: dict) -> ExperimentConfig:
                           "whiten the system first")
 
     sched_data = _check_keys(data.get("scheduler"), "scheduler")
-    thresholds = _resolve_thresholds(sched_data, system.m)
+    if sched_data.get("beta") is None:
+        raise ConfigError("scheduler needs 'beta'")
+    beta = _number(sched_data["beta"], "beta")
+    thresholds = _resolve_thresholds(sched_data, system.m, beta)
     try:
         scheduler = SchedulerConfig(
             thresholds=thresholds,
-            arrival_prob=_number(sched_data["beta"], "beta"),
+            arrival_prob=beta,
             energy_high=_number(sched_data.get("delta_high", 1.0), "delta_high"),
             energy_low=_number(sched_data.get("delta_low", 0.1), "delta_low"),
         )

@@ -273,16 +273,14 @@ class _Totals:
     the rows live there.
     """
 
-    def __init__(self, horizon: int, n: int, m: int, cfg: SchedulerConfig):
+    def __init__(self, horizon: int, n: int, m: int):
         K = horizon
         self.count = np.zeros(K + 1, dtype=np.int64)
         self.mean_P = np.zeros((K + 1, n, n))
         self.m2_P = np.zeros((K + 1, n, n))
         self.outer = np.zeros((K + 1, n, n))
-        self.energy = np.zeros(K)
         self.high = np.zeros((K, m), dtype=np.int64)
         self.truncated = 0
-        self.levels = (cfg.energy_high, cfg.energy_low)
 
     def add(self, steps, trace_ceiling: float) -> None:
         """Fold in the steps of one ``_run_batch`` block as they come."""
@@ -310,17 +308,21 @@ class _Totals:
         self.count[k] = n_ab
         self.outer[k] += np.einsum("ti,tj->ij", e, e)
         if k:
-            self.energy[k - 1] += np.where(high, *self.levels).sum()
             self.high[k - 1] += high.sum(axis=0)
 
-    def summary(self, horizon: int, trials: int,
+    def summary(self, cfg: SchedulerConfig, horizon: int, trials: int,
                 master_seed: int) -> MonteCarloSummary:
         # Steps where every trial truncated aggregate to NaN, which is the
         # honest answer there.
         dead = (self.count == 0)[:, None, None]
         n = np.maximum(self.count, 1)[:, None, None]
         slots = np.where(self.count[1:] > 0, self.count[1:], np.nan)
-        energy_per_step = self.energy / slots
+        # each live row spends one slot per component at each step, so the
+        # step's energy follows from the integer counts of the two levels
+        high = self.high.sum(axis=1)
+        low = self.high.shape[1] * self.count[1:] - high
+        energy_per_step = (cfg.energy_high * high
+                           + cfg.energy_low * low) / slots
         return MonteCarloSummary(
             horizon=horizon, trials=trials, master_seed=int(master_seed),
             mean_P=np.where(dead, np.nan, self.mean_P),
@@ -354,11 +356,11 @@ def monte_carlo(sys: LinearSystem, cfg: SchedulerConfig, horizon: int,
         raise ValueError(f"horizon must be >= 1, got {horizon}")
 
     seeds = [derive_trial_seed(master_seed, t) for t in range(trials)]
-    totals = _Totals(horizon, sys.n, sys.m, cfg)
+    totals = _Totals(horizon, sys.n, sys.m)
     for lo in range(0, trials, _BLOCK):
         totals.add(_run_batch(sys, cfg, horizon, seeds[lo:lo + _BLOCK]),
                    trace_ceiling)
-    return totals.summary(horizon, trials, master_seed)
+    return totals.summary(cfg, horizon, trials, master_seed)
 
 
 @dataclass

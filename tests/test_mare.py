@@ -622,11 +622,12 @@ class TestBoundary:
         fp = iterate_fixed_point(prob, tol=1e-16)
         assert fp.status == "undetermined"
         assert fp.iterations < 1000
-        fp = iterate_fixed_point(prob, tol=1e-12)
+        # 1e-14 relative is 1.7e-10 absolute at this fixed point.  The
+        # residual jitters too: stopping at 5e-14 leaves one of 2e-9
+        fp = iterate_fixed_point(prob, tol=1e-14)
         assert fp.converged
         assert np.max(np.abs(riccati_map(fp.fixed_point, prob)
-                             - fp.fixed_point)) <= 1e-12 * np.max(
-                                 np.abs(fp.fixed_point))
+                             - fp.fixed_point)) <= 1e-9
 
     def test_full_rates_match_dare(self):
         # rate 1 is the classical filter: the posterior of the DARE solution
