@@ -4,7 +4,8 @@ The package couples seven modules:
 
 * ``model``    plant definition, structural checks, measurement whitening
 * ``stats``    Gaussian-tail statistics of the innovation scheduler
-* ``filter``   the sequential remote estimator with three-branch updates
+* ``filter``   the sequential remote estimator: one ``step`` per cycle,
+               with three-branch slot updates
 * ``channel``  sensor-side power decisions and the lossy channel
 * ``mare``     the composite modified Riccati operator and the
                necessary / sufficient mean-square stability checks
@@ -14,7 +15,7 @@ The package couples seven modules:
 """
 
 from .channel import SchedulerConfig, derive_trial_seed, energy_ledger, scheduler_stats
-from .filter import FilterState, SlotUpdate, predict, step, update_component
+from .filter import FilterState, SlotUpdate, step
 from .mare import (
     MareProblem,
     analyze,
@@ -36,7 +37,7 @@ __all__ = [
     "LinearSystem", "validate", "whiten",
     "component_stats", "threshold_for_rate",
     "SchedulerConfig", "scheduler_stats", "energy_ledger", "derive_trial_seed",
-    "FilterState", "SlotUpdate", "predict", "update_component", "step",
+    "FilterState", "SlotUpdate", "step",
     "MareProblem", "partial_update", "mixture_weights",
     "iterate_fixed_point", "necessary_check", "sufficient_check", "analyze",
     "simulate_trial", "monte_carlo", "bound_check", "write_summary_csv",

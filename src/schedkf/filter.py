@@ -1,4 +1,5 @@
-"""Remote MMSE estimator: time prediction plus per-slot sequential updates.
+"""Remote MMSE estimator: one cycle of time prediction plus per-slot
+sequential updates, ``step``.
 
 Every step processes the measurement vector one component at a time, in
 index order.  Each slot ends in one of three ways and the covariance
@@ -31,10 +32,7 @@ from ._linalg import innovation_terms, psd_floor, time_update, weighted_update
 from .model import LinearSystem
 from .stats import ComponentStats
 
-__all__ = [
-    "FilterState", "SlotUpdate", "SlotTrace",
-    "predict", "update_component", "step",
-]
+__all__ = ["FilterState", "SlotUpdate", "step"]
 
 
 @dataclass(frozen=True)
@@ -79,72 +77,37 @@ class SlotUpdate:
         return self.high_power or self.arrived
 
 
-@dataclass(frozen=True)
-class SlotTrace:
-    """Per-slot intermediates: innovation scale, normalized innovation
-    (None when the value never arrived), and the gain vector."""
-
-    sigma: float
-    innovation: Optional[float]
-    gain: np.ndarray
-
-
-def predict(state: FilterState, sys: LinearSystem) -> FilterState:
-    """Time update: x <- A x, P <- A P A' + Q."""
-    return FilterState(x=sys.A @ state.x, P=time_update(state.P, sys.A, sys.Q),
-                       k=state.k + 1)
-
-
-def _slot(x: np.ndarray, P: np.ndarray, sys: LinearSystem, slot: SlotUpdate,
-          stats_i: ComponentStats):
-    """One slot's update from one ``innovation_terms`` call: the new mean
-    and covariance plus the slot's ``SlotTrace``."""
-    delivered = slot.delivered
-    if delivered and slot.value is None:
-        raise ValueError("slot marked delivered but carries no value")
-    if not delivered and slot.value is not None:
-        raise ValueError("slot carries a value but was not delivered")
-
-    c = sys.C[slot.index]
-    Pc, s_var = innovation_terms(P, c, sys.R[slot.index, slot.index])
-    t = 1.0 if delivered else stats_i.drop_shrink
-    P, gain = weighted_update(P, Pc, s_var, t)
-    sigma = float(np.sqrt(s_var))
-    innov = None
-    if delivered:
-        resid = slot.value - float(c @ x)
-        innov = resid / sigma
-        x = x + gain * resid
-    return x, P, SlotTrace(sigma=sigma, innovation=innov, gain=gain)
-
-
-def update_component(state: FilterState, sys: LinearSystem, slot: SlotUpdate,
-                     stats_i: ComponentStats) -> FilterState:
-    """One sequential measurement update with the three-branch weighting
-    (no PSD floor: ``step`` applies it once, after the last slot)."""
-    x, P, _ = _slot(state.x, state.P, sys, slot, stats_i)
-    return FilterState(x=x, P=P, k=state.k)
-
-
 def step(state: FilterState, sys: LinearSystem, slots: Sequence[SlotUpdate],
          stats: Sequence[ComponentStats],
-         ) -> tuple[FilterState, list[SlotTrace]]:
-    """Full filter cycle: predict, all m slot updates in index order, then
-    the PSD floor on the stored covariance.
+         ) -> tuple[FilterState, np.ndarray]:
+    """Full filter cycle: x <- A x, P <- A P A' + Q, all m slot updates in
+    index order, then the PSD floor on the stored covariance.
 
-    The result depends on the slot order; it is fixed to 0..m-1 to match
-    the round-robin transmission protocol.
+    Returns the new state and the (m,) normalized innovations
+    (value - c x) / sqrt(c'Pc + r) at each slot's own prior, NaN where
+    the value never arrived.  The result depends on the slot order; it
+    is fixed to 0..m-1 to match the round-robin transmission protocol.
     """
     if len(slots) != sys.m or len(stats) != sys.m:
         raise ValueError(f"expected {sys.m} slots and stats, got "
                          f"{len(slots)} and {len(stats)}")
     x = sys.A @ state.x
     P = time_update(state.P, sys.A, sys.Q)
-    traces: list[SlotTrace] = []
+    innov = np.full(sys.m, np.nan)
     for i, slot in enumerate(slots):
         if slot.index != i:
             raise ValueError(f"slots must be ordered 0..m-1; slot {i} has "
                              f"index {slot.index}")
-        x, P, trace = _slot(x, P, sys, slot, stats[i])
-        traces.append(trace)
-    return FilterState(x=x, P=psd_floor(P), k=state.k + 1), traces
+        delivered = slot.delivered
+        if delivered != (slot.value is not None):
+            raise ValueError(f"slot {i} must carry a value exactly when "
+                             f"delivered (delivered={delivered})")
+        c = sys.C[i]
+        Pc, s_var = innovation_terms(P, c, sys.R[i, i])
+        P, gain = weighted_update(P, Pc, s_var, 1.0 if delivered else
+                                  stats[i].drop_shrink)
+        if delivered:
+            resid = slot.value - float(c @ x)
+            innov[i] = resid / float(np.sqrt(s_var))
+            x = x + gain * resid
+    return FilterState(x=x, P=psd_floor(P), k=state.k + 1), innov

@@ -405,44 +405,36 @@ def bound_check(summary: MonteCarloSummary, problem: MareProblem) -> BoundCheck:
     E[P_{k+1}] >= prod(1 - lam) (A E[P_k] A' + Q), and Jensen on the
     concave composite map gives E[P_{k+1}] <= riccati_map(E[P_k]).
     """
-    sysm = problem.system
     shrink_prod = float(np.prod(1.0 - problem.info_rates))
     K = summary.horizon
-    n = sysm.n
-    eye = np.eye(n)
-
-    lower_trace = np.empty(K)
-    upper_trace = np.empty(K)
+    lower_trace = np.full(K, np.nan)
+    upper_trace = np.full(K, np.nan)
     lower_violation = np.zeros(K)
     upper_violation = np.zeros(K)
-    slack_arr = np.empty(K)
-    flagged = np.zeros(K, dtype=bool)
+    slack_arr = np.full(K, np.nan)
+    flagged = np.ones(K, dtype=bool)
 
-    for k in range(1, K + 1):
-        prev = summary.mean_P[k - 1]
-        cur = summary.mean_P[k]
-        if np.any(np.isnan(prev)) or np.any(np.isnan(cur)):
-            lower_trace[k - 1] = np.nan
-            upper_trace[k - 1] = np.nan
-            slack_arr[k - 1] = np.nan
-            flagged[k - 1] = True
-            continue
-        lower = shrink_prod * time_update(prev, sysm)
-        upper = riccati_map(prev, problem)
-        lower_trace[k - 1] = float(np.trace(lower))
-        upper_trace[k - 1] = float(np.trace(upper))
-        # The epsilon term keeps deterministic configurations (every slot
-        # delivered) from flagging on pure round-off, where the standard
-        # error is identically zero.
-        slack = (_SLACK_SIGMAS * float(np.max(summary.se_P[k]))
-                 + 1e-12 * (1.0 + abs(float(np.trace(cur)))))
-        slack_arr[k - 1] = slack
-        lo_eig = float(np.linalg.eigvalsh(sym(cur - lower))[0])
-        up_eig = float(np.linalg.eigvalsh(sym(upper - cur))[0])
-        lower_violation[k - 1] = max(0.0, -(lo_eig + slack))
-        upper_violation[k - 1] = max(0.0, -(up_eig + slack))
-        flagged[k - 1] = (lower_violation[k - 1] > 0.0
-                          or upper_violation[k - 1] > 0.0)
+    # A step with a NaN at either end (every trial truncated) keeps NaN
+    # traces and slack and no violation, and is flagged.
+    nan_P = np.isnan(summary.mean_P).any(axis=(1, 2))
+    ok = np.flatnonzero(~(nan_P[:-1] | nan_P[1:]))
+    prev = summary.mean_P[ok]
+    cur = summary.mean_P[ok + 1]
+    lower = shrink_prod * time_update(prev, problem.system)
+    upper = riccati_map(prev, problem)
+    lower_trace[ok] = np.trace(lower, axis1=1, axis2=2)
+    upper_trace[ok] = np.trace(upper, axis1=1, axis2=2)
+    # The epsilon term keeps deterministic configurations (every slot
+    # delivered) from flagging on pure round-off, where the standard
+    # error is identically zero.
+    slack = (_SLACK_SIGMAS * summary.se_P[ok + 1].max(axis=(1, 2))
+             + 1e-12 * (1.0 + np.abs(np.trace(cur, axis1=1, axis2=2))))
+    slack_arr[ok] = slack
+    eigs = np.linalg.eigvalsh(sym(np.concatenate((cur - lower, upper - cur))))
+    lo_eig, up_eig = np.split(eigs[:, 0], 2)
+    lower_violation[ok] = np.maximum(0.0, -(lo_eig + slack))
+    upper_violation[ok] = np.maximum(0.0, -(up_eig + slack))
+    flagged[ok] = (lower_violation[ok] > 0.0) | (upper_violation[ok] > 0.0)
 
     return BoundCheck(lower_trace=lower_trace, upper_trace=upper_trace,
                       lower_violation=lower_violation,

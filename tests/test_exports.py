@@ -1,7 +1,8 @@
 """Export lists: every exported name exists and is listed once, so a
 function deleted from a module cannot linger in an ``__all__``; every
-package-level name is exported by its own module; and every name the
-README's Layout table gives for a module exists there."""
+package-level name is exported by its own module; every name the
+README's Layout table gives for a module exists there; and the README's
+count of package-level names matches ``schedkf.__all__``."""
 
 import importlib
 import pkgutil
@@ -27,7 +28,6 @@ def test_all_names_resolve_once(module):
     assert not missing, missing
 
 
-
 @pytest.mark.parametrize("name", [name for name in schedkf.__all__
                                   if name != "__version__"])
 def test_package_names_are_module_exports(name):
@@ -35,11 +35,13 @@ def test_package_names_are_module_exports(name):
     assert name in getattr(module, "__all__", []), module.__name__
 
 
+README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+
+
 def layout_rows():
     """(module, backticked identifiers) for each row of the README's
     Layout table."""
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    section = readme.split("## Layout", 1)[1].split("\n## ", 1)[0]
+    section = README.split("## Layout", 1)[1].split("\n## ", 1)[0]
     rows = re.findall(r"^\| `(schedkf\.\w+)` \|(.*)\|$", section, re.MULTILINE)
     assert rows, "no Layout table found"
     return [(module, re.findall(r"`(\w+)`", contents)) for module, contents in rows]
@@ -54,3 +56,8 @@ def test_readme_layout_names_resolve(module_name, names):
     module = importlib.import_module(module_name)
     missing = [name for name in names if not hasattr(module, name)]
     assert not missing, missing
+
+
+def test_readme_name_count_matches_exports():
+    counts = re.findall(r"\((\d+) names, with\s+`__version__`\)", README)
+    assert counts == [str(len(schedkf.__all__))]

@@ -1,5 +1,7 @@
 """Sequential estimator against textbook batch-filter oracles."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -8,9 +10,7 @@ from schedkf import (
     LinearSystem,
     SlotUpdate,
     component_stats,
-    predict,
     step,
-    update_component,
 )
 
 
@@ -49,13 +49,42 @@ def delivered_slots(sysm, y):
             for i in range(sysm.m)]
 
 
+def predicted(state, sysm):
+    """The time update written out: A x and A P A' + Q."""
+    P = sysm.A @ state.P @ sysm.A.T + sysm.Q
+    return FilterState(x=sysm.A @ state.x, P=0.5 * (P + P.T), k=state.k)
+
+
+def update_slot(state, sysm, slot, stats_i):
+    """Slot ``slot.index`` of sysm alone through ``step``: on a one-slot
+    system with A = I and Q = 0 the time update is a no-op, so the cycle
+    is that slot's update followed by the PSD floor."""
+    i = slot.index
+    n = sysm.n
+    alone = LinearSystem(A=np.eye(n), C=sysm.C[i:i + 1], Q=np.zeros((n, n)),
+                         R=sysm.R[i:i + 1, i:i + 1], x0_mean=np.zeros(n),
+                         P0=np.eye(n))
+    out, _ = step(state, alone,
+                  [SlotUpdate(0, slot.value, slot.high_power, slot.arrived)],
+                  [stats_i])
+    return FilterState(x=out.x, P=out.P, k=state.k)
+
+
+def time_update_only(state, sysm):
+    """``step`` with every slot silent at weight t = 0: the slots leave x
+    and P as they are, so the cycle is the time update alone."""
+    weightless = replace(component_stats(1.0, 0.5), drop_shrink=0.0)
+    slots = [SlotUpdate(i, None, False, False) for i in range(sysm.m)]
+    return step(state, sysm, slots, [weightless] * sysm.m)[0]
+
+
 SCALAR = LinearSystem(A=[[1.2]], C=[[1.0]], Q=[[1.0]], R=[[1.0]],
                       x0_mean=[0.0], P0=[[1.0]])
 
 
 class TestPredict:
     def test_zero_covariance_gives_q(self):
-        st = predict(FilterState(x=[0.0], P=[[0.0]]), SCALAR)
+        st = time_update_only(FilterState(x=[0.0], P=[[0.0]]), SCALAR)
         assert st.P[0, 0] == pytest.approx(1.0, abs=1e-15)
         assert st.k == 1
 
@@ -63,12 +92,12 @@ class TestPredict:
         sysm = LinearSystem(A=np.eye(2), C=[[1.0, 0.0]], Q=np.zeros((2, 2)),
                             R=[[1.0]], x0_mean=[1.0, 2.0], P0=np.eye(2))
         st0 = FilterState(x=[1.0, 2.0], P=np.eye(2))
-        st = predict(st0, sysm)
+        st = time_update_only(st0, sysm)
         assert np.allclose(st.x, st0.x, atol=1e-15)
         assert np.allclose(st.P, st0.P, atol=1e-15)
 
     def test_scalar_arithmetic(self):
-        st = predict(FilterState(x=[0.0], P=[[2.0]]), SCALAR)
+        st = time_update_only(FilterState(x=[0.0], P=[[2.0]]), SCALAR)
         assert st.P[0, 0] == pytest.approx(1.2 * 2.0 * 1.2 + 1.0, rel=1e-15)
 
 
@@ -79,7 +108,7 @@ class TestUpdateComponent:
         st = FilterState(x=rng.standard_normal(3), P=np.eye(3))
         y = 0.7
         slot = SlotUpdate(index=0, value=y, high_power=True, arrived=True)
-        out = update_component(st, sysm, slot, component_stats(1.0, 0.5))
+        out = update_slot(st, sysm, slot, component_stats(1.0, 0.5))
         # textbook scalar update written independently
         c = sysm.C[0]
         s = c @ st.P @ c + sysm.R[0, 0]
@@ -93,7 +122,7 @@ class TestUpdateComponent:
         st = FilterState(x=[2.0], P=[[1.0]])
         slot = SlotUpdate(index=0, value=None, high_power=False, arrived=False)
         stats = component_stats(1.0, 0.5)
-        out = update_component(st, SCALAR, slot, stats)
+        out = update_slot(st, SCALAR, slot, stats)
         assert out.x[0] == 2.0
         want = 1.0 - stats.drop_shrink * 0.5 * 1.0  # gain is 1/2 here
         assert out.P[0, 0] == pytest.approx(want, rel=1e-14)
@@ -105,16 +134,16 @@ class TestUpdateComponent:
         fake = component_stats(1.0, 0.5).__class__(
             threshold=1.0, arrival_prob=0.5, high_rate=0.3,
             drop_shrink=0.5, low_info=0.75, info_rate=0.8)
-        out = update_component(st, SCALAR, slot, fake)
+        out = update_slot(st, SCALAR, slot, fake)
         assert out.P[0, 0] == pytest.approx(0.75, rel=1e-15)
 
     def test_contract_errors(self):
         st = FilterState(x=[0.0], P=[[1.0]])
-        stats = component_stats(1.0, 0.5)
+        stats = [component_stats(1.0, 0.5)]
         with pytest.raises(ValueError):
-            update_component(st, SCALAR, SlotUpdate(0, None, True, True), stats)
+            step(st, SCALAR, [SlotUpdate(0, None, True, True)], stats)
         with pytest.raises(ValueError):
-            update_component(st, SCALAR, SlotUpdate(0, 1.0, False, False), stats)
+            step(st, SCALAR, [SlotUpdate(0, 1.0, False, False)], stats)
 
 
 class TestStep:
@@ -137,7 +166,7 @@ class TestStep:
                             R=[[0.1, 0.0], [0.0, 1.0]], x0_mean=[0.0], P0=[[1.0]])
         stats = [component_stats(12.0, 0.5)] * 2
         st = FilterState(x=[0.0], P=[[1.0]])
-        pred = predict(st, sysm)
+        pred = predicted(st, sysm)
         slots = [SlotUpdate(i, None, False, False) for i in range(2)]
         out, _ = step(st, sysm, slots, stats)
         assert out.P[0, 0] == pytest.approx(pred.P[0, 0], rel=1e-10)
@@ -148,13 +177,12 @@ class TestStep:
         stats = [component_stats(1.0, 0.5)] * 2
         st = FilterState.initial(sysm)
         for k in range(40):
-            st_pred = predict(st, sysm)
-            prev = st_pred
+            prev = predicted(st, sysm)
             for i in range(2):
                 deliver = bool(rng.random() < 0.5)
                 y = float(rng.standard_normal()) if deliver else None
                 slot = SlotUpdate(i, y, deliver, deliver)
-                cur = update_component(prev, sysm, slot, stats[i])
+                cur = update_slot(prev, sysm, slot, stats[i])
                 diff = prev.P - cur.P
                 assert np.linalg.eigvalsh(diff)[0] >= -1e-10
                 assert np.max(np.abs(cur.P - cur.P.T)) <= 1e-12
@@ -168,20 +196,17 @@ class TestStep:
         st = FilterState.initial(sysm)
         slots = [SlotUpdate(0, 1.0, True, True),
                  SlotUpdate(1, None, False, False)]
-        out, traces = step(st, sysm, slots, stats)
-        assert len(traces) == 2
-        assert traces[0].innovation is not None
-        assert traces[1].innovation is None
-        assert traces[0].sigma > 0
-        assert traces[0].gain.shape == (2,)
+        out, innov = step(st, sysm, slots, stats)
+        assert innov.shape == (2,)
+        assert np.isfinite(innov[0])
+        assert np.isnan(innov[1])
         wrong = [SlotUpdate(1, 1.0, True, True), SlotUpdate(0, 1.0, True, True)]
         with pytest.raises(ValueError):
             step(st, sysm, wrong, stats)
 
     def test_slot_trace_matches_written_out_terms(self):
-        # sigma = sqrt(c'Pc + r), gain = Pc / (c'Pc + r) and the normalized
-        # innovation, at each slot's own prior, with the slots in between
-        # applied by hand
+        # the normalized innovation (y - c x) / sqrt(c'Pc + r) at each slot's
+        # own prior, with the slots in between applied by hand
         rng = np.random.default_rng(11)
         sysm = random_observable_system(rng, 3, 3)
         stats = [component_stats(1.0, 0.5)] * 3
@@ -194,22 +219,20 @@ class TestStep:
                      for i in range(3)]
             x = sysm.A @ st.x
             P = sysm.A @ st.P @ sysm.A.T + sysm.Q
-            out, traces = step(st, sysm, slots, stats)
-            for i, trace in enumerate(traces):
+            out, innov = step(st, sysm, slots, stats)
+            assert innov.shape == (3,)
+            for i in range(3):
                 c, r = sysm.C[i], sysm.R[i, i]
                 s = c @ P @ c + r
                 gain = P @ c / s
-                scale = 1.0 + np.max(np.abs(P))
-                assert abs(trace.sigma - np.sqrt(s)) <= 1e-12 * scale
-                assert np.max(np.abs(trace.gain - gain)) <= 1e-12 * scale
                 if deliver[i]:
                     resid = y[i] - c @ x
-                    assert trace.innovation == pytest.approx(resid / np.sqrt(s),
-                                                             rel=1e-12, abs=1e-12)
+                    assert innov[i] == pytest.approx(resid / np.sqrt(s),
+                                                     rel=1e-12, abs=1e-12)
                     x = x + gain * resid
                     P = P - np.outer(gain, c @ P)
                 else:
-                    assert trace.innovation is None
+                    assert np.isnan(innov[i])
                     P = P - stats[i].drop_shrink * np.outer(gain, c @ P)
             assert np.max(np.abs(out.x - x)) <= 1e-12 * (1.0 + np.max(np.abs(x)))
             assert np.max(np.abs(out.P - P)) <= 1e-12 * (1.0 + np.max(np.abs(P)))
@@ -222,9 +245,9 @@ class TestStep:
         rng = np.random.default_rng(5)
         sysm = random_observable_system(rng, 2, 1)
         stats = [component_stats(1.3, 0.4)]
-        st = predict(FilterState.initial(sysm), sysm)
-        silent = update_component(st, sysm, SlotUpdate(0, None, False, False), stats[0])
-        heard = update_component(st, sysm, SlotUpdate(0, 0.3, True, True), stats[0])
+        st = predicted(FilterState.initial(sysm), sysm)
+        silent = update_slot(st, sysm, SlotUpdate(0, None, False, False), stats[0])
+        heard = update_slot(st, sysm, SlotUpdate(0, 0.3, True, True), stats[0])
         assert np.linalg.eigvalsh(st.P - silent.P)[0] >= -1e-12
         assert np.linalg.eigvalsh(silent.P - heard.P)[0] >= -1e-12
 
@@ -249,13 +272,18 @@ class TestPsdGuard:
         stats = [component_stats(1.0, 0.5)] * 2
         slots = [SlotUpdate(i, 0.0 if delivered else None, delivered, delivered)
                  for i in range(2)]
-        pred = predict(st, sysm)
-        mid = update_component(pred, sysm, slots[0], stats[0])
-        mid = update_component(mid, sysm, slots[1], stats[1])
-        assert np.linalg.eigvalsh(mid.P)[0] == pytest.approx(-1e-12, rel=1e-3)
+        # the cycle written out without the floor: time update, then each
+        # slot's weighted rank-one correction
+        mid = predicted(st, sysm).P
+        for i, slot in enumerate(slots):
+            c = sysm.C[i]
+            Pc = mid @ c
+            t = 1.0 if slot.delivered else stats[i].drop_shrink
+            mid = mid - (t / (c @ Pc + sysm.R[i, i])) * np.outer(Pc, Pc)
+        assert np.linalg.eigvalsh(mid)[0] == pytest.approx(-1e-12, rel=1e-3)
         out, _ = step(st, sysm, slots, stats)
         assert abs(np.linalg.eigvalsh(out.P)[0]) <= 1e-15
-        assert np.max(np.abs(out.P - mid.P)) <= 1e-11
+        assert np.max(np.abs(out.P - mid)) <= 1e-11
 
     def test_genuine_violation_stays_visible(self):
         st, sysm = self.unobserved_negative(-1e-6)
