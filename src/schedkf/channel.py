@@ -8,14 +8,25 @@ perfect: the estimator always learns the (high_power, arrived) pair.
 
 The decision and the arrival draw are made, for whole batches of trials,
 in ``sim._run_batch``; this module holds the scheduler configuration,
-its per-slot statistics, the energy accounting and the trial seeds.
+its per-slot statistics, the energy accounting and the trial streams.
+
+Trial streams.  Trial t of a run with master seed s draws from numpy's
+``default_rng(derive_trial_seed(s, t))``.  Both seeding steps are numpy's
+``SeedSequence`` hash (O'Neill's seed_seq mixing, PCG report
+HMC-CS-2014-0905), which is plain uint32 arithmetic whose hash constants
+do not depend on the data.  ``_seed_sequence`` runs it for a whole
+(rows, words) entropy array at once, bit for bit as numpy does per row.
+``_trial_seeds`` hashes a block's trial indices to their seeds in one
+call (``derive_trial_seed`` is its one-row case), and ``_streams`` turns
+a block of seeds into those generators by hashing the block once and
+assigning each trial's PCG64 state to one reused generator.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -110,11 +121,153 @@ def energy_ledger(outcomes: Iterable[SlotOutcome]) -> EnergyLedger:
     return EnergyLedger(total=total, high_count=high, low_count=low, high_rate=rate)
 
 
+# numpy's SeedSequence constants (numpy/random/bit_generator.pyx).
+_POOL = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
+# PCG64's LCG multiplier (numpy/random/src/pcg64/pcg64.h).
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
+
+
+def _chain(init: int, mult: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The data-independent hash constants c_j = init * mult**j mod 2**32,
+    as the (xor, mult) pairs (c_j, c_{j+1}) of hash calls j = 0..count-1,
+    each a (count, 1) uint32 column."""
+    out = [init]
+    for _ in range(count):
+        out.append(out[-1] * mult & _MASK32)
+    consts = np.array(out, dtype=np.uint32)[:, None]
+    return consts[:-1], consts[1:]
+
+
+def _hashmix(value: np.ndarray, xor: np.ndarray, mult: np.ndarray) -> np.ndarray:
+    value = (value ^ xor) * mult
+    return value ^ (value >> 16)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    r = _MIX_L * x - _MIX_R * y
+    return r ^ (r >> 16)
+
+
+def _seed_sequence(entropy: np.ndarray, n_words: int) -> np.ndarray:
+    """``SeedSequence(row).generate_state(n_words)`` for every row.
+
+    ``entropy`` is a (rows, words) uint32 array in numpy's layout: the
+    little-endian words of each int, zero taking one word, ints joined in
+    order.  All rows must have the same word count, except that entropy
+    shorter than the pool hashes as if zero-padded to it, so rows of up
+    to four words may share an array.  The arithmetic is on uint32
+    arrays, which wrap modulo 2**32 as numpy's C code does.
+
+    The pool is a (4, rows) array.  Where numpy hashes one word into each
+    other pool word in turn, that word does not change in between, so
+    the hashes for all destinations are taken at once, each with its own
+    constant.
+    """
+    rows, words = entropy.shape
+    calls = _POOL * _POOL + _POOL * max(words - _POOL, 0)
+    xor, mult = _chain(_INIT_A, _MULT_A, calls)
+    pool = np.zeros((_POOL, rows), dtype=np.uint32)
+    pool[:words] = entropy[:, :_POOL].T
+    pool = _hashmix(pool, xor[:_POOL], mult[:_POOL])
+    used = _POOL
+    for src in range(_POOL):
+        dst = [i for i in range(_POOL) if i != src]
+        hashed = _hashmix(pool[src], xor[used:used + 3], mult[used:used + 3])
+        pool[dst] = _mix(pool[dst], hashed)
+        used += 3
+    for src in range(_POOL, words):
+        hashed = _hashmix(entropy[:, src], xor[used:used + _POOL],
+                          mult[used:used + _POOL])
+        pool = _mix(pool, hashed)
+        used += _POOL
+    xor, mult = _chain(_INIT_B, _MULT_B, n_words)
+    state = _hashmix(pool[np.arange(n_words) % _POOL], xor, mult)
+    return np.ascontiguousarray(state.T)
+
+
+def _words(value: int) -> list[int]:
+    """numpy's entropy words of one int."""
+    if value < 0:
+        raise ValueError(f"expected non-negative integer, got {value}")
+    words = [value & _MASK32]
+    while value >> 32:
+        value >>= 32
+        words.append(value & _MASK32)
+    return words
+
+
+def _split(values: np.ndarray) -> np.ndarray:
+    """uint64 values as (rows, 2) uint32 words, low word first."""
+    return values.astype("<u8").view("<u4").reshape(-1, 2)
+
+
+def _join(words: np.ndarray) -> np.ndarray:
+    """Pairs of uint32 words as uint64, low word first, as numpy joins them."""
+    return words.astype("<u4").view("<u8").astype(np.uint64)
+
+
+def _trial_seeds(master_seed: int, start: int, stop: int) -> np.ndarray:
+    """``derive_trial_seed(master_seed, t)`` for t in start..stop-1, as uint64.
+
+    Indices are grouped by their word count, so that each group's rows
+    have the word count numpy gives them.
+    """
+    head = np.array(_words(int(master_seed)), dtype=np.uint32)
+    seeds = np.empty(stop - start, dtype=np.uint64)
+    lo = start
+    while lo < stop:
+        width = len(_words(lo))
+        hi = min(stop, 1 << 32 * width)
+        if width <= 2:
+            index = _split(np.arange(hi - lo, dtype=np.uint64) + np.uint64(lo))[:, :width]
+        else:
+            index = np.array([_words(t) for t in range(lo, hi)], dtype=np.uint32)
+        entropy = np.hstack((np.broadcast_to(head, (hi - lo, head.size)), index))
+        seeds[lo - start:hi - start] = _join(_seed_sequence(entropy, 2))[:, 0]
+        lo = hi
+    return seeds
+
+
 def derive_trial_seed(master_seed: int, trial_index: int) -> int:
     """Deterministic per-trial seed: SeedSequence over (master, index).
 
     Keeps Monte Carlo streams independent across trials while staying
-    reproducible from a single master seed.
+    reproducible from a single master seed.  Equals
+    ``np.random.SeedSequence((master_seed, trial_index))
+    .generate_state(1, np.uint64)[0]``.
     """
-    ss = np.random.SeedSequence((int(master_seed), int(trial_index)))
-    return int(ss.generate_state(1, np.uint64)[0])
+    t = int(trial_index)
+    return int(_trial_seeds(master_seed, t, t + 1)[0])
+
+
+def _streams(seeds: Sequence[int]) -> Iterator[np.random.Generator]:
+    """For each seed in turn, one reused generator in the state of
+    ``np.random.default_rng(seed)``.
+
+    Each seed's ``SeedSequence`` hash gives PCG64's four seed words; a
+    uint64 array of seeds is hashed in one call, a sequence of ints of
+    any size one by one.  Each trial then takes PCG64's 128-bit seeding
+    step (``pcg64_set_seed``: state = ((inc + seed) * mult + inc) with
+    inc = 2 * initseq + 1, modulo 2**128) and assigns the state.  A
+    generator is valid only until the next one is yielded.
+    """
+    if isinstance(seeds, np.ndarray) and seeds.dtype == np.uint64:
+        # one- and two-word seeds hash as if zero-padded to two words
+        words = _seed_sequence(_split(seeds), 8)
+    else:
+        words = np.vstack([_seed_sequence(np.array([_words(int(s))], dtype=np.uint32), 8)
+                           for s in seeds])
+    rng = np.random.Generator(np.random.PCG64(0))
+    bit_gen = rng.bit_generator
+    for s_hi, s_lo, i_hi, i_lo in _join(words).tolist():
+        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
+        state = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128
+        bit_gen.state = {"bit_generator": "PCG64",
+                         "state": {"state": state, "inc": inc},
+                         "has_uint32": 0, "uinteger": 0}
+        yield rng

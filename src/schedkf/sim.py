@@ -23,8 +23,8 @@ covariance, as in ``filter.step``: one batched Cholesky certifies the
 stack, and the eigenvalue repair touches only round-off negative rows.
 
 Randomness protocol (frozen; reordering it breaks reproducibility):
-each trial owns one ``numpy`` generator seeded from its trial seed and
-consumes, in this order,
+trial t of a run with master seed s consumes numpy's
+``default_rng(derive_trial_seed(s, t))`` stream, in this order,
 
     1. n standard normals            -> initial error (x0 - x0_mean)
     2. (horizon, n) standard normals -> process noise
@@ -34,8 +34,13 @@ consumes, in this order,
 Arrival uniforms are drawn for every slot and simply ignored on
 high-power slots, so the stream position never depends on scheduler
 decisions.  The arrival bits U < beta are computed once per block.
-``simulate_trial`` stacks the steps of the same engine with a batch of
-one, and trial seeds derive from ``derive_trial_seed(master_seed, index)``.
+The engine does not build those generators one by one: it hashes the
+block's trial indices to trial seeds, and those to PCG64 seed words,
+each in one vectorized ``SeedSequence`` call (``channel._trial_seeds``,
+``channel._streams``), and assigns each trial's PCG64 state to one
+reused generator, which then draws exactly the stream ``default_rng``
+would.  ``simulate_trial`` stacks the steps
+of the same engine with a batch of one.
 Every row of a batch is computed as it would be alone, and the block
 size is a constant, so the summary depends only on the config and the
 master seed.
@@ -51,7 +56,8 @@ import numpy as np
 
 from . import _linalg
 from ._linalg import innovation_terms, psd_factor, psd_floor, sym, weighted_update
-from .channel import SchedulerConfig, SlotOutcome, derive_trial_seed, scheduler_stats
+from .channel import (SchedulerConfig, SlotOutcome, _streams, _trial_seeds,
+                      scheduler_stats)
 from .mare import DEFAULT_TRACE_CEILING, MareProblem, riccati_map, time_update
 from .model import LinearSystem
 
@@ -130,20 +136,12 @@ class MonteCarloSummary:
     truncated_trials: int = 0
 
 
-def _trial_noise(seed: int, n: int, m: int, horizon: int):
-    rng = np.random.default_rng(seed)
-    z0 = rng.standard_normal(n)
-    W = rng.standard_normal((horizon, n))
-    V = rng.standard_normal((horizon, m))
-    U = rng.random((horizon, m))
-    return z0, W, V, U
-
-
 def _run_batch(sys: LinearSystem, cfg: SchedulerConfig, horizon: int,
                seeds: Sequence[int]):
     """Run a batch of closed-loop trials one step at a time.
 
-    Yields ``(k, e, P, high, arrived, eps)`` for k = 0..horizon: the
+    ``seeds`` are the trials' seeds, a uint64 array or a sequence of
+    ints.  Yields ``(k, e, P, high, arrived, eps)`` for k = 0..horizon: the
     errors (N, n) and covariances (N, n, n) after step k, and the step's
     power decisions, arrival bits and normalized innovations, each
     (N, m) and None at k = 0.  Nothing yielded has a horizon axis; only
@@ -167,8 +165,11 @@ def _run_batch(sys: LinearSystem, cfg: SchedulerConfig, horizon: int,
     W = np.empty((N, K, n))
     V = np.empty((N, K, m))
     U = np.empty((N, K, m))
-    for t, seed in enumerate(seeds):
-        Z0[t], W[t], V[t], U[t] = _trial_noise(seed, n, m, K)
+    for t, rng in enumerate(_streams(seeds)):
+        rng.standard_normal(out=Z0[t])
+        rng.standard_normal(out=W[t])
+        rng.standard_normal(out=V[t])
+        rng.random(out=U[t])
 
     # Stacked matmul and einsum compute every row as it would be alone;
     # a 2-D product over the rows would not.
@@ -344,22 +345,22 @@ def monte_carlo(sys: LinearSystem, cfg: SchedulerConfig, horizon: int,
 
     Trial t equals ``simulate_trial`` at ``derive_trial_seed(master_seed,
     t)``, so the summary is reproducible bit for bit.  Trials run in fixed
-    blocks of ``_BLOCK``, in trial order, and each step of a block folds
-    into running per-step aggregates as soon as it is computed.  Only the
-    block's noise and one step of its state are ever in memory, so peak
-    memory is set by the block size, not by the trial count or by a
-    trials x horizon array of results.
+    blocks of ``_BLOCK``, in trial order; each block derives its own trial
+    seeds from its index range as it starts, and each step of a block
+    folds into running per-step aggregates as soon as it is computed.
+    Only the block's seeds and noise and one step of its state are ever
+    in memory, so peak memory is set by the block size, not by the trial
+    count or by a trials x horizon array of results.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
 
-    seeds = [derive_trial_seed(master_seed, t) for t in range(trials)]
     totals = _Totals(horizon, sys.n, sys.m)
     for lo in range(0, trials, _BLOCK):
-        totals.add(_run_batch(sys, cfg, horizon, seeds[lo:lo + _BLOCK]),
-                   trace_ceiling)
+        seeds = _trial_seeds(master_seed, lo, min(lo + _BLOCK, trials))
+        totals.add(_run_batch(sys, cfg, horizon, seeds), trace_ceiling)
     return totals.summary(cfg, horizon, trials, master_seed)
 
 

@@ -1,6 +1,7 @@
 """Scheduler decision rule, channel statistics, and energy accounting."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -13,7 +14,8 @@ from schedkf import (
     energy_ledger,
     simulate_trial,
 )
-from schedkf.channel import EnergyLedger, SlotOutcome
+from schedkf import monte_carlo
+from schedkf.channel import EnergyLedger, SlotOutcome, _streams, _trial_seeds
 
 # Plants for checking the power decision and the arrival draw where they
 # are made: in the closed-loop engine behind ``simulate_trial``.
@@ -134,3 +136,54 @@ class TestSeedDerivation:
         seeds = {derive_trial_seed(123, i) for i in range(1000)}
         assert len(seeds) == 1000
         assert derive_trial_seed(124, 0) != a
+
+    MASTERS = (0, 1, 2**31 - 1, 2**32, 2**32 + 7, 2**64 + 3, 2**96 + 5)
+
+    @staticmethod
+    def numpy_seed(master, t):
+        return int(np.random.SeedSequence((master, t)).generate_state(1, np.uint64)[0])
+
+    @pytest.mark.parametrize("master", MASTERS)
+    def test_block_hash_matches_numpy(self, master):
+        # 600 indices per master seed, 4 200 pairs over all of them; the
+        # ranges near 2**32 and 2**64 cross to a wider index
+        ranges = [(0, 590), (2**32 - 5, 2**32 + 5)]
+        if master == 2**64 + 3:
+            ranges[1] = (2**64 - 5, 2**64 + 5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for lo, hi in ranges:
+                block = _trial_seeds(master, lo, hi)
+                assert block.dtype == np.uint64
+                want = [self.numpy_seed(master, t) for t in range(lo, hi)]
+                assert block.tolist() == want
+                assert [derive_trial_seed(master, t) for t in range(lo, hi)] == want
+
+    SEEDS = (0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**100 + 3)
+
+    def test_streams_start_where_default_rng_does(self):
+        narrow = [s for s in self.SEEDS if s < 2**64]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for seeds in (self.SEEDS, np.array(narrow, dtype=np.uint64)):
+                for seed, rng in zip(seeds, _streams(seeds), strict=True):
+                    want = np.random.default_rng(int(seed))
+                    assert rng.bit_generator.state == want.bit_generator.state
+                    assert np.array_equal(rng.standard_normal(5),
+                                          want.standard_normal(5))
+
+    def test_negative_seeds_raise_as_numpy_does(self):
+        for master, t in [(-1, 0), (0, -1)]:
+            with pytest.raises(ValueError):
+                np.random.SeedSequence((master, t))
+            with pytest.raises(ValueError):
+                derive_trial_seed(master, t)
+        with pytest.raises(ValueError):
+            np.random.default_rng(-1)
+        with pytest.raises(ValueError):
+            list(_streams([-1]))
+        with pytest.raises(ValueError):
+            simulate_trial(PLANT, SchedulerConfig([1.0, 1.0], 0.5), 5, seed=-1)
+        with pytest.raises(ValueError):
+            monte_carlo(PLANT, SchedulerConfig([1.0, 1.0], 0.5), 5, trials=3,
+                        master_seed=-1)

@@ -27,7 +27,6 @@ from schedkf import (
 from schedkf import sim
 from schedkf._linalg import psd_factor
 from schedkf.mare import riccati_map, time_update
-from schedkf.sim import _trial_noise
 from test_filter import random_observable_system
 
 EXAMPLE = LinearSystem(A=[[1.2]], C=[[1.0], [1.0]], Q=[[1.0]],
@@ -212,6 +211,26 @@ class TestStreamedSummary:
 
         assert peak(16 * 64) <= 1.15 * peak(64)
 
+    def test_peak_memory_does_not_grow_with_trials(self, monkeypatch):
+        # with tiny blocks, anything kept per trial (such as a list of
+        # every trial's seed) would dominate the peak
+        monkeypatch.setattr(sim, "_BLOCK", 8)
+        # fill the interpreter's bounded tuple freelists first: tuples
+        # parked there stay allocated, and tracemalloc would count them
+        filler = [tuple(range(size)) for size in range(1, 21) for _ in range(2000)]
+        del filler
+
+        def peak(trials):
+            tracemalloc.start()
+            try:
+                monte_carlo(EXAMPLE, example_cfg(), 2, trials=trials,
+                            master_seed=9)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(8 * 512) <= 1.15 * peak(8)
+
     def test_block_peak_is_set_by_its_noise(self):
         # a block keeps its noise and one step of state; nothing else in
         # it has a horizon axis
@@ -232,6 +251,8 @@ class TestEngineConsistency:
     @settings(max_examples=40, deadline=None)
     @given(case=stable_scheduled_systems(), seed=hst.integers(0, 2**31 - 1))
     @example(case=(OP_LEVEL_SYSTEM, OP_LEVEL_CFG), seed=99)
+    @example(case=(OP_LEVEL_SYSTEM, OP_LEVEL_CFG), seed=2**32)
+    @example(case=(OP_LEVEL_SYSTEM, OP_LEVEL_CFG), seed=2**64 + 3)
     def test_matches_op_level_composition(self, case, seed):
         # Rebuild one trial with a test-local Kalman recursion in absolute
         # coordinates (stable plant, so that route is safe), written out
@@ -241,7 +262,12 @@ class TestEngineConsistency:
         K = 80
         rec = simulate_trial(sysm, cfg, K, seed)
 
-        z0, W, V, U = _trial_noise(seed, n, m, K)
+        # the frozen randomness protocol, drawn from numpy itself
+        rng = np.random.default_rng(seed)
+        z0 = rng.standard_normal(n)
+        W = rng.standard_normal((K, n))
+        V = rng.standard_normal((K, m))
+        U = rng.random((K, m))
         L0, LQ, LR = psd_factor(sysm.P0), psd_factor(sysm.Q), psd_factor(sysm.R)
         x = sysm.x0_mean + L0 @ z0
         xh, Ph = sysm.x0_mean.copy(), sysm.P0.copy()
