@@ -17,18 +17,19 @@ HMC-CS-2014-0905), which is plain uint32 arithmetic whose hash constants
 do not depend on the data.  ``_seed_sequence`` runs it for a whole
 (rows, words) entropy array at once, bit for bit as numpy does per row.
 ``_trial_seeds`` hashes a block's trial indices to their seeds in one
-call (``derive_trial_seed`` is its one-row case), and ``_streams`` turns
-a block of seeds into those generators by hashing the block once and
-assigning each trial's PCG64 state to one reused generator.
+call, and ``_hashed_seeds`` hashes those seeds to PCG64's seed words in
+one more, handing each to ``default_rng`` as a ``_HashedSeed``, so that
+numpy seeds the generator exactly as from the seed itself.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .stats import ComponentStats, component_stats, threshold_for_rate
 
@@ -55,9 +56,9 @@ class SchedulerConfig:
             raise ValueError("thresholds must be finite and >= 0")
         if not (0.0 < self.arrival_prob < 1.0):
             raise ValueError(f"arrival_prob must lie in (0, 1), got {self.arrival_prob}")
-        if not (0.0 < self.energy_low < self.energy_high):
+        if not (0.0 < self.energy_low < self.energy_high < math.inf):
             raise ValueError(
-                "energies must satisfy 0 < energy_low < energy_high, got "
+                "energies must be finite with 0 < energy_low < energy_high, got "
                 f"low={self.energy_low}, high={self.energy_high}"
             )
         th.setflags(write=False)
@@ -127,9 +128,6 @@ _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _MASK32 = 0xFFFFFFFF
-# PCG64's LCG multiplier (numpy/random/src/pcg64/pcg64.h).
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK128 = (1 << 128) - 1
 
 
 def _chain(init: int, mult: int, count: int) -> tuple[np.ndarray, np.ndarray]:
@@ -237,37 +235,30 @@ def derive_trial_seed(master_seed: int, trial_index: int) -> int:
     """Deterministic per-trial seed: SeedSequence over (master, index).
 
     Keeps Monte Carlo streams independent across trials while staying
-    reproducible from a single master seed.  Equals
-    ``np.random.SeedSequence((master_seed, trial_index))
-    .generate_state(1, np.uint64)[0]``.
+    reproducible from a single master seed.  ``_trial_seeds`` computes
+    the same seeds for a whole block of indices.
     """
-    t = int(trial_index)
-    return int(_trial_seeds(master_seed, t, t + 1)[0])
+    entropy = (int(master_seed), int(trial_index))
+    return int(np.random.SeedSequence(entropy).generate_state(1, np.uint64)[0])
 
 
-def _streams(seeds: Sequence[int]) -> Iterator[np.random.Generator]:
-    """For each seed in turn, one reused generator in the state of
-    ``np.random.default_rng(seed)``.
+class _HashedSeed(ISeedSequence):
+    """A seed whose ``SeedSequence`` hash is already taken: the four
+    uint64 words PCG64 asks for, so ``default_rng`` of it is
+    ``default_rng`` of the seed.  Any other request raises, so a change
+    in what numpy asks for fails loudly."""
 
-    Each seed's ``SeedSequence`` hash gives PCG64's four seed words; a
-    uint64 array of seeds is hashed in one call, a sequence of ints of
-    any size one by one.  Each trial then takes PCG64's 128-bit seeding
-    step (``pcg64_set_seed``: state = ((inc + seed) * mult + inc) with
-    inc = 2 * initseq + 1, modulo 2**128) and assigns the state.  A
-    generator is valid only until the next one is yielded.
-    """
-    if isinstance(seeds, np.ndarray) and seeds.dtype == np.uint64:
-        # one- and two-word seeds hash as if zero-padded to two words
-        words = _seed_sequence(_split(seeds), 8)
-    else:
-        words = np.vstack([_seed_sequence(np.array([_words(int(s))], dtype=np.uint32), 8)
-                           for s in seeds])
-    rng = np.random.Generator(np.random.PCG64(0))
-    bit_gen = rng.bit_generator
-    for s_hi, s_lo, i_hi, i_lo in _join(words).tolist():
-        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
-        state = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128
-        bit_gen.state = {"bit_generator": "PCG64",
-                         "state": {"state": state, "inc": inc},
-                         "has_uint32": 0, "uinteger": 0}
-        yield rng
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 4 or np.dtype(dtype) != np.uint64:
+            raise ValueError(f"expected a request for 4 uint64 words, got "
+                             f"{n_words} of {np.dtype(dtype)}")
+        return self.words
+
+
+def _hashed_seeds(seeds: np.ndarray) -> list[_HashedSeed]:
+    """A uint64 array of seeds, hashed to PCG64's seed words in one call;
+    one- and two-word seeds hash as if zero-padded to two words."""
+    return [_HashedSeed(words) for words in _join(_seed_sequence(_split(seeds), 8))]

@@ -77,7 +77,7 @@ class MareProblem:
                 f"need one info rate per measurement slot ({self.system.m}), "
                 f"got shape {rates.shape}"
             )
-        if np.any(rates < 0.0) or np.any(rates > 1.0):
+        if not np.all((rates >= 0.0) & (rates <= 1.0)):
             raise ValueError("info rates must lie in [0, 1]")
         if not is_diagonal(self.system.R):
             raise ValueError("R must be diagonal; whiten the system first")

@@ -79,6 +79,11 @@ class LinearSystem:
         R = _as_matrix(self.R, "R")
         x0 = np.atleast_1d(np.asarray(self.x0_mean, dtype=float))
         P0 = _as_matrix(self.P0, "P0")
+        fields = (("A", A), ("C", C), ("Q", Q), ("R", R), ("x0_mean", x0),
+                  ("P0", P0))
+        for name, arr in fields:
+            if not np.all(np.isfinite(arr)):
+                raise ValueError(f"{name} must be finite")
 
         n = A.shape[0]
         if A.shape != (n, n):
@@ -99,8 +104,7 @@ class LinearSystem:
         _check_spd(R, "R", allow_semidefinite=False)
         _check_spd(P0, "P0", allow_semidefinite=False)
 
-        for name, arr in (("A", A), ("C", C), ("Q", Q), ("R", R),
-                          ("x0_mean", x0), ("P0", P0)):
+        for name, arr in fields:
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 

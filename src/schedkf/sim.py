@@ -34,13 +34,12 @@ trial t of a run with master seed s consumes numpy's
 Arrival uniforms are drawn for every slot and simply ignored on
 high-power slots, so the stream position never depends on scheduler
 decisions.  The arrival bits U < beta are computed once per block.
-The engine does not build those generators one by one: it hashes the
-block's trial indices to trial seeds, and those to PCG64 seed words,
-each in one vectorized ``SeedSequence`` call (``channel._trial_seeds``,
-``channel._streams``), and assigns each trial's PCG64 state to one
-reused generator, which then draws exactly the stream ``default_rng``
-would.  ``simulate_trial`` stacks the steps
-of the same engine with a batch of one.
+``_run_batch`` builds each row's generator with ``default_rng``, as the
+protocol reads.  ``monte_carlo`` hands it seeds already hashed: a block's
+trial indices go to trial seeds, and those to PCG64's seed words, each in
+one vectorized ``SeedSequence`` call (``channel._trial_seeds``,
+``channel._hashed_seeds``).  ``simulate_trial`` hands it its int seed and
+stacks the steps of the same engine with a batch of one.
 Every row of a batch is computed as it would be alone, and the block
 size is a constant, so the summary depends only on the config and the
 master seed.
@@ -56,7 +55,7 @@ import numpy as np
 
 from . import _linalg
 from ._linalg import innovation_terms, psd_factor, psd_floor, sym, weighted_update
-from .channel import (SchedulerConfig, SlotOutcome, _streams, _trial_seeds,
+from .channel import (SchedulerConfig, SlotOutcome, _hashed_seeds, _trial_seeds,
                       scheduler_stats)
 from .mare import DEFAULT_TRACE_CEILING, MareProblem, riccati_map, time_update
 from .model import LinearSystem
@@ -137,12 +136,13 @@ class MonteCarloSummary:
 
 
 def _run_batch(sys: LinearSystem, cfg: SchedulerConfig, horizon: int,
-               seeds: Sequence[int]):
+               seeds: Sequence):
     """Run a batch of closed-loop trials one step at a time.
 
-    ``seeds`` are the trials' seeds, a uint64 array or a sequence of
-    ints.  Yields ``(k, e, P, high, arrived, eps)`` for k = 0..horizon: the
-    errors (N, n) and covariances (N, n, n) after step k, and the step's
+    ``seeds`` are the trials' seeds, each taken by ``np.random.default_rng``
+    as it is: an int, or a ``channel._HashedSeed``.  Yields
+    ``(k, e, P, high, arrived, eps)`` for k = 0..horizon: the errors
+    (N, n) and covariances (N, n, n) after step k, and the step's
     power decisions, arrival bits and normalized innovations, each
     (N, m) and None at k = 0.  Nothing yielded has a horizon axis; only
     the block's noise does, and each raw draw is freed once transformed.
@@ -165,7 +165,8 @@ def _run_batch(sys: LinearSystem, cfg: SchedulerConfig, horizon: int,
     W = np.empty((N, K, n))
     V = np.empty((N, K, m))
     U = np.empty((N, K, m))
-    for t, rng in enumerate(_streams(seeds)):
+    for t, seed in enumerate(seeds):
+        rng = np.random.default_rng(seed)
         rng.standard_normal(out=Z0[t])
         rng.standard_normal(out=W[t])
         rng.standard_normal(out=V[t])
@@ -360,7 +361,8 @@ def monte_carlo(sys: LinearSystem, cfg: SchedulerConfig, horizon: int,
     totals = _Totals(horizon, sys.n, sys.m)
     for lo in range(0, trials, _BLOCK):
         seeds = _trial_seeds(master_seed, lo, min(lo + _BLOCK, trials))
-        totals.add(_run_batch(sys, cfg, horizon, seeds), trace_ceiling)
+        totals.add(_run_batch(sys, cfg, horizon, _hashed_seeds(seeds)),
+                   trace_ceiling)
     return totals.summary(cfg, horizon, trials, master_seed)
 
 

@@ -15,7 +15,7 @@ from schedkf import (
     simulate_trial,
 )
 from schedkf import monte_carlo
-from schedkf.channel import EnergyLedger, SlotOutcome, _streams, _trial_seeds
+from schedkf.channel import EnergyLedger, SlotOutcome, _hashed_seeds, _trial_seeds
 
 # Plants for checking the power decision and the arrival draw where they
 # are made: in the closed-loop engine behind ``simulate_trial``.
@@ -83,6 +83,10 @@ class TestSchedulerConfig:
         with pytest.raises(ValueError):
             SchedulerConfig(thresholds=[1.0], arrival_prob=0.5,
                             energy_high=0.1, energy_low=0.5)
+        for high, low in [(math.inf, 0.1), (math.nan, 0.1), (1.0, math.nan)]:
+            with pytest.raises(ValueError, match="finite"):
+                SchedulerConfig(thresholds=[1.0], arrival_prob=0.5,
+                                energy_high=high, energy_low=low)
 
     def test_from_rates_round_trip(self):
         cfg = SchedulerConfig.from_rates([0.6, 0.8], arrival_prob=0.5)
@@ -159,18 +163,27 @@ class TestSeedDerivation:
                 assert block.tolist() == want
                 assert [derive_trial_seed(master, t) for t in range(lo, hi)] == want
 
-    SEEDS = (0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**100 + 3)
+    SEEDS = (0, 1, 2**32 - 1, 2**32, 2**64 - 1)
 
     def test_streams_start_where_default_rng_does(self):
-        narrow = [s for s in self.SEEDS if s < 2**64]
+        seeds = np.array(self.SEEDS, dtype=np.uint64)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for seeds in (self.SEEDS, np.array(narrow, dtype=np.uint64)):
-                for seed, rng in zip(seeds, _streams(seeds), strict=True):
-                    want = np.random.default_rng(int(seed))
-                    assert rng.bit_generator.state == want.bit_generator.state
-                    assert np.array_equal(rng.standard_normal(5),
-                                          want.standard_normal(5))
+            for seed, hashed in zip(self.SEEDS, _hashed_seeds(seeds), strict=True):
+                rng = np.random.default_rng(hashed)
+                want = np.random.default_rng(int(seed))
+                assert rng.bit_generator.state == want.bit_generator.state
+                assert np.array_equal(rng.standard_normal(5),
+                                      want.standard_normal(5))
+
+    @pytest.mark.parametrize("n_words, dtype", [(4, np.uint32), (8, np.uint32),
+                                                (2, np.uint64), (1, np.uint64)])
+    def test_hashed_seed_refuses_other_requests(self, n_words, dtype):
+        (hashed,) = _hashed_seeds(np.array([5], dtype=np.uint64))
+        assert np.array_equal(hashed.generate_state(4, np.uint64),
+                              np.random.SeedSequence(5).generate_state(4, np.uint64))
+        with pytest.raises(ValueError, match="4 uint64 words"):
+            hashed.generate_state(n_words, dtype)
 
     def test_negative_seeds_raise_as_numpy_does(self):
         for master, t in [(-1, 0), (0, -1)]:
@@ -180,8 +193,6 @@ class TestSeedDerivation:
                 derive_trial_seed(master, t)
         with pytest.raises(ValueError):
             np.random.default_rng(-1)
-        with pytest.raises(ValueError):
-            list(_streams([-1]))
         with pytest.raises(ValueError):
             simulate_trial(PLANT, SchedulerConfig([1.0, 1.0], 0.5), 5, seed=-1)
         with pytest.raises(ValueError):

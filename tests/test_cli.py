@@ -167,6 +167,13 @@ MALFORMED = {
     "unknown-system-key": ({"system": dict(EXAMPLE_SYSTEM, Qq=[[2.0]])}, [],
                            "Qq"),
     "system-number": ({"system": 5}, [], "system"),
+    "nan-A": ({"system": dict(EXAMPLE_SYSTEM, A=[[float("nan")]])}, [],
+              "A must be finite"),
+    "infinite-C": ({"system": dict(EXAMPLE_SYSTEM, C=[[1.0], [float("inf")]])},
+                   [], "C must be finite"),
+    "infinite-delta-high": ({"scheduler": dict(SCHEDULER,
+                                               delta_high=float("inf"))},
+                            [], "energies must be finite"),
 }
 
 

@@ -710,6 +710,15 @@ class TestAnalyze:
                        for msg in analyze(example_problem()).messages)
 
 
+class TestProblem:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -0.1, 1.5])
+    def test_rates_outside_unit_interval_rejected(self, bad):
+        # a NaN rate would make the necessary check's lhs NaN, which the
+        # short cut would read as a proof of divergence
+        with pytest.raises(ValueError, match="info rates"):
+            example_problem(rates=(0.6, bad))
+
+
 class TestNecessary:
     def test_worked_example(self):
         chk = necessary_check(example_problem())

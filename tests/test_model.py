@@ -56,6 +56,16 @@ class TestConstruction:
             LinearSystem(A=[[1.0]], C=[[1.0]], Q=[[1.0]], R=[[1.0]],
                          x0_mean=[0.0], P0=[[0.0]])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("name", ["A", "C", "Q", "R", "x0_mean", "P0"])
+    def test_non_finite_entries_rejected(self, name, bad):
+        # checked before shapes, symmetry and definiteness, so the error
+        # names the real fault: Q = [[nan]] is not "not symmetric"
+        fields = example_system().to_dict()
+        fields[name] = np.full(np.shape(fields[name]), bad).tolist()
+        with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+            LinearSystem(**fields)
+
     def test_immutable(self):
         sysm = example_system()
         with pytest.raises(ValueError):

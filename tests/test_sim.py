@@ -26,6 +26,7 @@ from schedkf import (
 )
 from schedkf import sim
 from schedkf._linalg import psd_factor
+from schedkf.channel import _hashed_seeds, _trial_seeds
 from schedkf.mare import riccati_map, time_update
 from test_filter import random_observable_system
 
@@ -94,18 +95,22 @@ class TestDeterminism:
 
     def test_batch_rows_equal_single_trials(self):
         # every row of a dense block is computed as it would be alone
+        # and monte_carlo's pre-hashed block seeds give the rows of
+        # simulate_trial(derive_trial_seed(8, t))
         seeds = [derive_trial_seed(8, t) for t in range(6)]
         records = [simulate_trial(DENSE_N3_M2, OP_LEVEL_CFG, 30, seed)
                    for seed in seeds]
-        for k, e, P, high, arrived, eps in sim._run_batch(
-                DENSE_N3_M2, OP_LEVEL_CFG, 30, seeds):
-            for t, rec in enumerate(records):
-                assert np.array_equal(e[t], rec.errors[k])
-                assert np.array_equal(P[t], rec.covariances[k])
-                if k:
-                    assert np.array_equal(high[t], rec.high_power[k - 1])
-                    assert np.array_equal(arrived[t], rec.arrived[k - 1])
-                    assert np.array_equal(eps[t], rec.innovations[k - 1])
+        hashed = _hashed_seeds(_trial_seeds(8, 0, 6))
+        for block in (seeds, hashed):
+            for k, e, P, high, arrived, eps in sim._run_batch(
+                    DENSE_N3_M2, OP_LEVEL_CFG, 30, block):
+                for t, rec in enumerate(records):
+                    assert np.array_equal(e[t], rec.errors[k])
+                    assert np.array_equal(P[t], rec.covariances[k])
+                    if k:
+                        assert np.array_equal(high[t], rec.high_power[k - 1])
+                        assert np.array_equal(arrived[t], rec.arrived[k - 1])
+                        assert np.array_equal(eps[t], rec.innovations[k - 1])
 
     def test_trial_order_invariance_within_epsilon(self):
         # aggregation uses pairwise summation, so permuting the trials can
