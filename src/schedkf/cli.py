@@ -10,13 +10,13 @@ Subcommands:
                               scheduler threshold
 
 Exit codes: 0 success, 1 unreadable config, 2 invalid config (nothing
-is written or run), 3 simulation finished but some trials hit the
-covariance ceiling (files are still written).  Analysis verdicts are
-data, not exit codes.
+is written or run), 3 simulation finished but some trials were
+truncated, their covariance trace past 1e12 or not finite (files are
+still written).  Analysis verdicts are data, not exit codes.
 
 A config is a JSON object with the keys system, scheduler, horizon,
-trials, master_seed, output and trace_ceiling; scheduler takes eta,
-lambda_target, beta, delta_high and delta_low, and output takes dir.
+trials, master_seed and output; scheduler takes eta, lambda_target,
+beta, delta_high and delta_low, and output takes dir.
 Any other key is rejected, so a misspelt key cannot be silently ignored,
 and so is a number of the wrong JSON type: horizon, trials and
 master_seed must be integers, the other numbers may be any JSON number
@@ -54,7 +54,7 @@ EXIT_TRUNCATED = 3
 # The keys each config object accepts.
 _KEYS = {
     "config": ("system", "scheduler", "horizon", "trials", "master_seed",
-               "output", "trace_ceiling"),
+               "output"),
     "scheduler": ("eta", "lambda_target", "beta", "delta_high", "delta_low"),
     "output": ("dir",),
 }
@@ -72,7 +72,6 @@ class ExperimentConfig:
     trials: int
     master_seed: int
     out_dir: Path = Path("results")
-    trace_ceiling: float = DEFAULT_TRACE_CEILING
 
     def info_rates(self) -> np.ndarray:
         return np.array([s.info_rate for s in scheduler_stats(self.scheduler)])
@@ -91,7 +90,6 @@ class ExperimentConfig:
             "trials": self.trials,
             "master_seed": self.master_seed,
             "output": {"dir": str(self.out_dir)},
-            "trace_ceiling": self.trace_ceiling,
         }
 
 
@@ -195,14 +193,9 @@ def parse_config(data: dict) -> ExperimentConfig:
         raise ConfigError(f"trials must be >= 1, got {trials}")
 
     output = _check_keys(data.get("output", {}), "output")
-    out_dir = Path(output.get("dir", "results"))
-    ceiling = _number(data.get("trace_ceiling", DEFAULT_TRACE_CEILING),
-                      "trace_ceiling")
-    if not 0.0 < ceiling < np.inf:
-        raise ConfigError(f"trace_ceiling must be finite and > 0, got {ceiling}")
     return ExperimentConfig(system=system, scheduler=scheduler, horizon=horizon,
                             trials=trials, master_seed=master_seed,
-                            out_dir=out_dir, trace_ceiling=ceiling)
+                            out_dir=Path(output.get("dir", "results")))
 
 
 def load_config(path) -> ExperimentConfig:
@@ -243,7 +236,7 @@ def run_simulate(args) -> int:
     for msg in report.messages:
         print(f"validate: {msg}", file=_sys.stderr)
     summary = monte_carlo(cfg.system, cfg.scheduler, cfg.horizon, cfg.trials,
-                          cfg.master_seed, trace_ceiling=cfg.trace_ceiling)
+                          cfg.master_seed)
     problem = MareProblem(system=cfg.system, info_rates=cfg.info_rates())
     write_summary_csv(summary, problem, out / "summary.csv")
     payload = summary_json_dict(summary)
@@ -256,7 +249,7 @@ def run_simulate(args) -> int:
     print(f"simulate: {cfg.trials} trials x {cfg.horizon} steps -> {out}")
     if summary.truncated_trials:
         print(f"simulate: {summary.truncated_trials} trials hit the covariance "
-              f"ceiling {cfg.trace_ceiling:g}", file=_sys.stderr)
+              f"ceiling {DEFAULT_TRACE_CEILING:g}", file=_sys.stderr)
         return EXIT_TRUNCATED
     return EXIT_OK
 

@@ -63,6 +63,12 @@ DEFAULT_MAX_ITER = 100_000
 DEFAULT_TRACE_CEILING = 1e12
 
 
+def _past_ceiling(trace):
+    """Where a covariance trace is not <= DEFAULT_TRACE_CEILING (NaN and
+    inf are past it): the one divergence test of solver and engine."""
+    return np.logical_not(trace <= DEFAULT_TRACE_CEILING)
+
+
 @dataclass(frozen=True)
 class MareProblem:
     """A system (diagonal R, possibly via whitening) plus per-slot rates."""
@@ -285,19 +291,19 @@ def iterate_fixed_point(problem: MareProblem, X0: Optional[np.ndarray] = None,
        map's round-off floor is relative, and absolute below that.
        Scaling Q, R and X0 by c > 0 scales every iterate by c, so the
        verdict does not change with the units while max|X| stays >= 1.
-       The trace passing ``DEFAULT_TRACE_CEILING`` (or turning
-       non-finite) means "diverged".  After the jump, a step that makes
+       A trace past the ceiling (``_past_ceiling``: NaN and inf are
+       past it) means "diverged".  After the jump, a step that makes
        no new minimum for 50 map applications means round-off has
        stalled the iteration above that bound: "undetermined".  Running
        out of ``DEFAULT_MAX_ITER`` map applications plus policy steps is
-       "undetermined" as well.
+       "undetermined" as well.  ``tol`` must be finite and > 0.
 
     ``iterations`` counts map applications plus policy steps, and
     ``trace_history`` holds the trace of X0 followed by the trace of
     each of those iterates in order.
     """
-    if tol <= 0.0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    if not 0.0 < tol < np.inf:
+        raise ValueError(f"tol must be finite and > 0, got {tol}")
     n = problem.n
     X = np.zeros((n, n)) if X0 is None else sym(np.asarray(X0, dtype=float))
     traces = [float(np.trace(X))]
@@ -315,7 +321,7 @@ def iterate_fixed_point(problem: MareProblem, X0: Optional[np.ndarray] = None,
         Xn = riccati_map(X, problem)
         tr = float(np.trace(Xn))
         traces.append(tr)
-        if not np.isfinite(tr) or tr > DEFAULT_TRACE_CEILING:
+        if _past_ceiling(tr):
             return result("diverged")
         step = float(np.max(np.abs(Xn - X)))
         if _settled(step, X, tol):

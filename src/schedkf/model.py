@@ -53,8 +53,7 @@ def is_diagonal(M: np.ndarray) -> bool:
     this is the one tolerance every caller applies.
     """
     off = M - np.diag(np.diag(M))
-    return bool(np.max(np.abs(off), initial=0.0)
-                <= 1e-12 * (1.0 + np.max(np.abs(M))))
+    return bool(np.max(np.abs(off)) <= 1e-12 * (1.0 + np.max(np.abs(M))))
 
 
 @dataclass(frozen=True)

@@ -57,8 +57,8 @@ from . import _linalg
 from ._linalg import innovation_terms, psd_factor, psd_floor, sym, weighted_update
 from .channel import (SchedulerConfig, SlotOutcome, _hashed_seeds, _trial_seeds,
                       scheduler_stats)
-from .mare import DEFAULT_TRACE_CEILING, MareProblem, riccati_map, time_update
-from .model import LinearSystem
+from .mare import MareProblem, _past_ceiling, riccati_map, time_update
+from .model import LinearSystem, is_diagonal
 
 __all__ = [
     "TrialRecord", "MonteCarloSummary", "BoundCheck",
@@ -72,8 +72,8 @@ class TrialRecord:
 
     Step arrays run k = 0..horizon (index 0 is the prior state), slot
     arrays run k = 1..horizon with one column per measurement component.
-    ``truncated_at`` is the first step whose covariance trace passed the
-    ceiling; entries from that step on are NaN.
+    ``truncated_at`` is the first step whose covariance trace is past the
+    ceiling or not finite; entries from that step on are NaN.
     """
 
     seed: int
@@ -151,6 +151,9 @@ def _run_batch(sys: LinearSystem, cfg: SchedulerConfig, horizon: int,
     if cfg.m != m:
         raise ValueError(f"scheduler has {cfg.m} thresholds but the system "
                          f"has {m} measurement components")
+    # The slot updates read only diag(R); a full R would be misfiltered.
+    if not is_diagonal(sys.R):
+        raise ValueError("R must be diagonal; whiten the system first")
     N = len(seeds)
     K = horizon
     stats = scheduler_stats(cfg)
@@ -208,9 +211,9 @@ def _run_batch(sys: LinearSystem, cfg: SchedulerConfig, horizon: int,
 
 
 def simulate_trial(sys: LinearSystem, cfg: SchedulerConfig, horizon: int,
-                   seed: int,
-                   trace_ceiling: float = DEFAULT_TRACE_CEILING) -> TrialRecord:
-    """One closed-loop trial, bit-reproducible from its seed."""
+                   seed: int) -> TrialRecord:
+    """One closed-loop trial, bit-reproducible from its seed; truncated
+    at the first step whose covariance trace is past the ceiling."""
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
     n, m, K = sys.n, sys.m, horizon
@@ -227,7 +230,7 @@ def simulate_trial(sys: LinearSystem, cfg: SchedulerConfig, horizon: int,
             arrived[k - 1] = arr[0]
             innovations[k - 1] = eps[0]
 
-    over = np.flatnonzero(np.einsum("kii->k", covs) > trace_ceiling)
+    over = np.flatnonzero(_past_ceiling(np.einsum("kii->k", covs)))
     trunc = int(over[0]) if over.size else None
     if trunc is not None:
         errors[trunc:] = np.nan
@@ -270,9 +273,9 @@ class _Totals:
         delta = mean_b - mean,  mean += delta n_b / n,
         M2 += M2_b + delta^2 n_a n_b / n,   n = n_a + n_b.
 
-    A row is live until the first step whose covariance trace passes the
-    ceiling, where ``simulate_trial`` truncates it; a step counts only
-    the rows live there.
+    A row is live until the first step whose covariance trace is past
+    the ceiling (``mare._past_ceiling``), where ``simulate_trial``
+    truncates it; a step counts only the rows live there.
     """
 
     def __init__(self, horizon: int, n: int, m: int):
@@ -284,11 +287,11 @@ class _Totals:
         self.high = np.zeros((K, m), dtype=np.int64)
         self.truncated = 0
 
-    def add(self, steps, trace_ceiling: float) -> None:
+    def add(self, steps) -> None:
         """Fold in the steps of one ``_run_batch`` block as they come."""
         live = None
         for k, e, P, high, _, _ in steps:
-            over = np.einsum("tii->t", P) > trace_ceiling
+            over = _past_ceiling(np.einsum("tii->t", P))
             live = ~over if live is None else live & ~over
             if not live.all():
                 e, P = e[live], P[live]
@@ -339,13 +342,12 @@ class _Totals:
 
 
 def monte_carlo(sys: LinearSystem, cfg: SchedulerConfig, horizon: int,
-                trials: int, master_seed: int,
-                trace_ceiling: float = DEFAULT_TRACE_CEILING,
-                ) -> MonteCarloSummary:
+                trials: int, master_seed: int) -> MonteCarloSummary:
     """Aggregate ``trials`` independent closed-loop runs.
 
     Trial t equals ``simulate_trial`` at ``derive_trial_seed(master_seed,
-    t)``, so the summary is reproducible bit for bit.  Trials run in fixed
+    t)``, so the summary is reproducible bit for bit, and a trial stops
+    counting where ``simulate_trial`` truncates it.  Trials run in fixed
     blocks of ``_BLOCK``, in trial order; each block derives its own trial
     seeds from its index range as it starts, and each step of a block
     folds into running per-step aggregates as soon as it is computed.
@@ -361,8 +363,7 @@ def monte_carlo(sys: LinearSystem, cfg: SchedulerConfig, horizon: int,
     totals = _Totals(horizon, sys.n, sys.m)
     for lo in range(0, trials, _BLOCK):
         seeds = _trial_seeds(master_seed, lo, min(lo + _BLOCK, trials))
-        totals.add(_run_batch(sys, cfg, horizon, _hashed_seeds(seeds)),
-                   trace_ceiling)
+        totals.add(_run_batch(sys, cfg, horizon, _hashed_seeds(seeds)))
     return totals.summary(cfg, horizon, trials, master_seed)
 
 

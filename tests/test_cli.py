@@ -82,11 +82,23 @@ class TestSimulate:
     def test_truncated_trials_exit_code(self, tmp_path):
         out = tmp_path / "div"
         cfg = base_config(out, horizon=300, trials=5,
-                          trace_ceiling=1e3)
+                          system=dict(EXAMPLE_SYSTEM, A=[[3.0]]))
         cfg["scheduler"] = {"lambda_target": [0.1, 0.1], "beta": 0.05}
         path = write_config(tmp_path, cfg)
         assert main(["simulate", str(path)]) == EXIT_TRUNCATED
         assert (out / "summary.csv").exists()
+
+    def test_overflowing_plant_truncated_and_diverged(self, tmp_path, capsys):
+        # A = 1e200 overflows the covariance to NaN in the first step:
+        # simulate truncates every trial there and analyze says diverged
+        out = tmp_path / "nan"
+        path = write_config(tmp_path, base_config(
+            out, system=dict(EXAMPLE_SYSTEM, A=[[1e200]])))
+        assert main(["simulate", str(path)]) == EXIT_TRUNCATED
+        assert "50 trials hit the covariance ceiling 1e+12" in capsys.readouterr().err
+        assert json.loads((out / "summary.json").read_text())["truncated_trials"] == 50
+        assert main(["analyze", str(path)]) == EXIT_OK
+        assert json.loads((out / "analysis.json").read_text())["status"] == "diverged"
 
     def test_overrides(self, tmp_path):
         out = tmp_path / "a"
@@ -159,6 +171,7 @@ MALFORMED = {
     "zero-ceiling": ({"trace_ceiling": 0}, [], "trace_ceiling"),
     "nan-ceiling": ({"trace_ceiling": float("nan")}, [], "trace_ceiling"),
     "infinite-ceiling": ({"trace_ceiling": float("inf")}, [], "trace_ceiling"),
+    "default-ceiling": ({"trace_ceiling": 1e12}, [], "trace_ceiling"),
     "horizon-list": ({"horizon": [5]}, [], "horizon"),
     "beta-list": ({"scheduler": dict(SCHEDULER, beta=[0.5])}, [], "beta"),
     "trials-string": ({"trials": "10"}, [], "trials"),

@@ -1,9 +1,11 @@
 """Export lists: every exported name exists and is listed once, so a
 function deleted from a module cannot linger in an ``__all__``; every
 package-level name is exported by its own module; every name the
-README's Layout table gives for a module exists there; and the README's
-count of package-level names matches ``schedkf.__all__``."""
+README's Layout table gives for a module exists there; the README's
+count of package-level names matches ``schedkf.__all__``; and the
+README's list of accepted config keys is the one ``cli`` checks."""
 
+import dataclasses
 import importlib
 import pkgutil
 import re
@@ -12,6 +14,8 @@ from pathlib import Path
 import pytest
 
 import schedkf
+from schedkf import LinearSystem
+from schedkf.cli import _KEYS
 
 MODULES = [schedkf] + [
     importlib.import_module(f"schedkf.{info.name}")
@@ -61,3 +65,10 @@ def test_readme_layout_names_resolve(module_name, names):
 def test_readme_name_count_matches_exports():
     counts = re.findall(r"\((\d+) names, with\s+`__version__`\)", README)
     assert counts == [str(len(schedkf.__all__))]
+
+
+def test_readme_config_keys_match_cli():
+    paragraph = README.split("The accepted keys are", 1)[1].split("\n\n", 1)[0]
+    system = {f.name for f in dataclasses.fields(LinearSystem)}
+    accepted = system.union(*_KEYS.values())
+    assert set(re.findall(r"`([^`]+)`", paragraph)) == accepted

@@ -536,8 +536,9 @@ class TestFixedPoint:
         assert err <= 1e-9 * np.max(np.abs(fp.fixed_point))
 
     def test_rejects_bad_tol(self):
-        with pytest.raises(ValueError):
-            iterate_fixed_point(example_problem(), tol=0.0)
+        for tol in (0.0, float("nan"), float("inf"), -1.0):
+            with pytest.raises(ValueError, match="tol"):
+                iterate_fixed_point(example_problem(), tol=tol)
 
 
 def scalar_fixed_point(a, q, r, rate):

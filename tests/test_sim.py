@@ -1,6 +1,7 @@
 """Closed-loop engine: reproducibility, consistency, the streamed
 Monte Carlo summary, and the sandwich."""
 
+import dataclasses
 import tracemalloc
 import warnings
 
@@ -34,6 +35,15 @@ EXAMPLE = LinearSystem(A=[[1.2]], C=[[1.0], [1.0]], Q=[[1.0]],
                      R=[[0.1, 0.0], [0.0, 1.0]], x0_mean=[0.0], P0=[[1.0]])
 
 
+# The worked example on faster-growing plants, whose covariance traces
+# pass the fixed 1e12 ceiling within the tests' horizons, and on one that
+# overflows to NaN in its first step.
+FAST = dataclasses.replace(EXAMPLE, A=[[4.0]])
+DIVERGING = dataclasses.replace(EXAMPLE, A=[[3.0]])
+OVERFLOWING = dataclasses.replace(EXAMPLE, A=[[1e200]])
+SLOW_RATES = SchedulerConfig.from_rates([0.1, 0.1], arrival_prob=0.05)
+
+
 def example_cfg(threshold=1.0, beta=0.5):
     return SchedulerConfig(thresholds=[threshold, threshold], arrival_prob=beta)
 
@@ -59,11 +69,10 @@ def stable_scheduled_systems(draw):
     return sysm, cfg
 
 
-def trial_records(sysm, cfg, horizon, trials, master_seed, **kwargs):
+def trial_records(sysm, cfg, horizon, trials, master_seed):
     """The records of trials 0..trials-1 of ``monte_carlo``, one
     ``simulate_trial`` each."""
-    return [simulate_trial(sysm, cfg, horizon, derive_trial_seed(master_seed, t),
-                           **kwargs)
+    return [simulate_trial(sysm, cfg, horizon, derive_trial_seed(master_seed, t))
             for t in range(trials)]
 
 
@@ -153,29 +162,28 @@ def full_array_summary(records):
 
 
 class TestStreamedSummary:
-    # Rates far below the critical ones and a low ceiling: trials truncate
-    # at different steps.  On the worked example some survive at horizon
-    # 40; at horizon 60 all truncate, so the last steps have no live trial
-    # anywhere.  The dense system truncates every trial by step 16.
+    # Rates far below the critical ones on fast-growing plants: trials
+    # pass the covariance ceiling at different steps.  With A = 4 one
+    # trial survives at horizon 40; at horizon 60 all truncate, so the
+    # last steps have no live trial anywhere.  The dense system truncates
+    # every trial by step 27.
     CFG = SchedulerConfig.from_rates([0.1, 0.1], arrival_prob=0.02)
 
-    @pytest.mark.parametrize("sysm, horizon, ceiling", [
-        pytest.param(EXAMPLE, 40, 50.0, id="40"),
-        pytest.param(EXAMPLE, 60, 50.0, id="60"),
+    @pytest.mark.parametrize("sysm, horizon", [
+        pytest.param(FAST, 40, id="40"),
+        pytest.param(FAST, 60, id="60"),
         pytest.param(random_observable_system(np.random.default_rng(5), 3, 2,
-                                              spectral_radius=1.2),
-                     40, 300.0, id="dense-n3-m2"),
+                                              spectral_radius=3.0),
+                     40, id="dense-n3-m2"),
     ])
-    def test_matches_full_array_oracle(self, monkeypatch, sysm, horizon,
-                                       ceiling):
+    def test_matches_full_array_oracle(self, monkeypatch, sysm, horizon):
         trials, block = 37, 8
         default = monte_carlo(sysm, self.CFG, horizon, trials=trials,
-                              master_seed=4, trace_ceiling=ceiling)
+                              master_seed=4)
         monkeypatch.setattr(sim, "_BLOCK", block)
         summ = monte_carlo(sysm, self.CFG, horizon, trials=trials,
-                           master_seed=4, trace_ceiling=ceiling)
-        records = trial_records(sysm, self.CFG, horizon, trials, 4,
-                                trace_ceiling=ceiling)
+                           master_seed=4)
+        records = trial_records(sysm, self.CFG, horizon, trials, 4)
 
         # the case is the one intended: uneven last block, truncation
         # inside a block, and a step dead in one block but live in another
@@ -358,15 +366,26 @@ class TestEngineConsistency:
 
 class TestTruncation:
     def test_divergent_trial_is_flagged_and_nan_padded(self):
-        cfg = SchedulerConfig.from_rates([0.1, 0.1], arrival_prob=0.05)
-        rec = simulate_trial(EXAMPLE, cfg, 400, seed=2, trace_ceiling=1e3)
+        rec = simulate_trial(DIVERGING, SLOW_RATES, 400, seed=2)
         assert rec.truncated_at is not None
         k0 = rec.truncated_at
         assert np.isnan(rec.covariances[k0:]).all()
         assert np.isfinite(rec.covariances[:k0]).all()
-        summ = monte_carlo(EXAMPLE, cfg, 400, trials=5, master_seed=2,
-                           trace_ceiling=1e3)
+        summ = monte_carlo(DIVERGING, SLOW_RATES, 400, trials=5, master_seed=2)
         assert summ.truncated_trials == 5
+
+    def test_overflow_to_nan_truncates_at_step_one(self):
+        # A = 1e200 overflows the covariance to NaN in one step; a NaN
+        # trace is past the ceiling, so the trial truncates there and no
+        # slot of it is counted
+        cfg = SchedulerConfig.from_rates([0.6, 0.6], arrival_prob=0.5)
+        rec = simulate_trial(OVERFLOWING, cfg, 20, seed=1)
+        assert rec.truncated_at == 1
+        assert np.isnan(rec.covariances[1:]).all()
+        summ = monte_carlo(OVERFLOWING, cfg, 20, trials=10, master_seed=1)
+        assert summ.truncated_trials == 10
+        assert np.isnan(summ.energy_per_step).all()
+        assert np.isnan(summ.high_rate_per_step).all()
 
 
 class TestStatisticalBehavior:
@@ -427,17 +446,15 @@ def per_step_bound_check(summary, problem):
 
 
 class TestBoundCheck:
-    @pytest.mark.parametrize("sysm, cfg, ceiling", [
-        (DENSE_N3_M2, OP_LEVEL_CFG, None),
-        (EXAMPLE, SchedulerConfig.from_rates([0.1, 0.1], arrival_prob=0.05),
-         1e2),
+    @pytest.mark.parametrize("sysm, cfg, truncates", [
+        (DENSE_N3_M2, OP_LEVEL_CFG, False),
+        (DIVERGING, SLOW_RATES, True),
     ], ids=["dense-n3-m2", "scalar-all-truncated"])
-    def test_stacked_steps_equal_per_step_reference(self, sysm, cfg, ceiling):
+    def test_stacked_steps_equal_per_step_reference(self, sysm, cfg, truncates):
         # the stacked time update, Riccati map and eigvalsh compute each
         # step as the one-step calls do, bit for bit; steps with a NaN end
         # (every trial truncated) stay NaN, unviolated and flagged
-        kwargs = {} if ceiling is None else {"trace_ceiling": ceiling}
-        summ = monte_carlo(sysm, cfg, 120, trials=12, master_seed=3, **kwargs)
+        summ = monte_carlo(sysm, cfg, 120, trials=12, master_seed=3)
         prob = MareProblem(system=sysm, info_rates=[st.info_rate for st in
                                                     scheduler_stats(cfg)])
         chk = bound_check(summ, prob)
@@ -448,7 +465,7 @@ class TestBoundCheck:
             got = getattr(chk, name)
             assert got.dtype == ref.dtype, name
             assert np.array_equal(got, ref, equal_nan=True), name
-        if ceiling is not None:
+        if truncates:
             assert np.isnan(chk.slack).any() and np.isfinite(chk.slack).any()
 
     def test_sandwich_holds_on_worked_example(self):
@@ -509,3 +526,20 @@ class TestRecordShape:
         bad_cfg = SchedulerConfig(thresholds=[1.0], arrival_prob=0.5)
         with pytest.raises(ValueError):
             simulate_trial(EXAMPLE, bad_cfg, 10, seed=1)
+
+    def test_non_diagonal_r_rejected_before_any_draw(self, monkeypatch):
+        # the slot updates read only diag(R), so a full R would be drawn
+        # in full but filtered as if diagonal
+        sysm = LinearSystem(A=[[0.9]], C=[[1.0], [1.0]], Q=[[1.0]],
+                            R=[[1.0, 0.95], [0.95, 1.0]], x0_mean=[0.0],
+                            P0=[[1.0]])
+        cfg = SchedulerConfig(thresholds=[0.0, 0.0], arrival_prob=0.5)
+
+        def no_draws(*args, **kwargs):
+            raise AssertionError("noise drawn for a non-diagonal R")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draws)
+        with pytest.raises(ValueError, match="R must be diagonal"):
+            simulate_trial(sysm, cfg, 50, seed=1)
+        with pytest.raises(ValueError, match="R must be diagonal"):
+            monte_carlo(sysm, cfg, 50, trials=20, master_seed=1)
