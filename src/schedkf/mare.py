@@ -47,7 +47,7 @@ import numpy as np
 
 from . import _linalg
 from ._linalg import innovation_terms, min_eig, sym, weighted_update
-from .model import LinearSystem, is_diagonal
+from .model import LinearSystem, _check_spd, is_diagonal
 
 __all__ = [
     "MareProblem", "FixedPointResult", "NecessaryCheck", "Certificate",
@@ -65,7 +65,9 @@ DEFAULT_TRACE_CEILING = 1e12
 
 def _past_ceiling(trace):
     """Where a covariance trace is not <= DEFAULT_TRACE_CEILING (NaN and
-    inf are past it): the one divergence test of solver and engine."""
+    inf are past it): the one divergence test, applied by
+    ``iterate_fixed_point`` and by ``sim._run_batch``, which truncates
+    the trials it finds there."""
     return np.logical_not(trace <= DEFAULT_TRACE_CEILING)
 
 
@@ -296,7 +298,8 @@ def iterate_fixed_point(problem: MareProblem, X0: Optional[np.ndarray] = None,
        no new minimum for 50 map applications means round-off has
        stalled the iteration above that bound: "undetermined".  Running
        out of ``DEFAULT_MAX_ITER`` map applications plus policy steps is
-       "undetermined" as well.  ``tol`` must be finite and > 0.
+       "undetermined" as well.  ``tol`` must be finite and > 0, and X0
+       a finite, symmetric PSD (n, n) matrix.
 
     ``iterations`` counts map applications plus policy steps, and
     ``trace_history`` holds the trace of X0 followed by the trace of
@@ -305,7 +308,11 @@ def iterate_fixed_point(problem: MareProblem, X0: Optional[np.ndarray] = None,
     if not 0.0 < tol < np.inf:
         raise ValueError(f"tol must be finite and > 0, got {tol}")
     n = problem.n
-    X = np.zeros((n, n)) if X0 is None else sym(np.asarray(X0, dtype=float))
+    X = np.zeros((n, n)) if X0 is None else np.asarray(X0, dtype=float)
+    if X.shape != (n, n) or not np.isfinite(X).all():
+        raise ValueError(f"X0 must be a finite ({n}, {n}) matrix, got shape {X.shape}")
+    _check_spd(X, "X0", allow_semidefinite=True)
+    X = sym(X)
     traces = [float(np.trace(X))]
 
     def result(status, fixed_point=None):

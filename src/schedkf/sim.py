@@ -3,7 +3,8 @@
 One trial couples the true plant, the sensor-side scheduler, the lossy
 channel, and the remote estimator for a fixed horizon.  Trials are
 vectorized: ``_run_batch`` steps a block of trials with batched array
-operations and yields each step's state, and ``monte_carlo`` runs fixed
+operations and yields each step's state of the trials still live there
+(it retires a trial where it truncates), and ``monte_carlo`` runs fixed
 blocks of ``_BLOCK`` trials, folding every step into running per-step
 aggregates as it comes.  Only a block's noise has a horizon axis, which
 keeps tens of thousands of trials affordable in time and memory while
@@ -73,7 +74,13 @@ class TrialRecord:
     Step arrays run k = 0..horizon (index 0 is the prior state), slot
     arrays run k = 1..horizon with one column per measurement component.
     ``truncated_at`` is the first step whose covariance trace is past the
-    ceiling or not finite; entries from that step on are NaN.
+    ceiling or not finite, where the engine retired the trial (None if
+    it never did).  ``errors`` and ``covariances`` are NaN from step
+    ``truncated_at`` on; from slot row ``max(truncated_at - 1, 0)`` on,
+    ``innovations`` and ``energy`` are NaN, so ``step_energy()`` and an
+    energy ledger over the record are NaN there, and ``high_power``,
+    ``arrived`` and ``delivered`` are False.  ``monte_carlo`` counts none
+    of those slots either.
     """
 
     seed: int
@@ -142,10 +149,16 @@ def _run_batch(sys: LinearSystem, cfg: SchedulerConfig, horizon: int,
     ``seeds`` are the trials' seeds, each taken by ``np.random.default_rng``
     as it is: an int, or a ``channel._HashedSeed``.  Yields
     ``(k, e, P, high, arrived, eps)`` for k = 0..horizon: the errors
-    (N, n) and covariances (N, n, n) after step k, and the step's
-    power decisions, arrival bits and normalized innovations, each
-    (N, m) and None at k = 0.  Nothing yielded has a horizon axis; only
-    the block's noise does, and each raw draw is freed once transformed.
+    (N_k, n) and covariances (N_k, n, n) of the N_k trials live after
+    step k, in trial order, and the step's power decisions, arrival bits
+    and normalized innovations, each (N_k, m) and None at k = 0.  Nothing
+    yielded has a horizon axis; only the block's noise does, and each raw
+    draw is freed once transformed.
+
+    A trial is truncated here and nowhere else: at the first step whose
+    covariance trace is past the ceiling (``mare._past_ceiling``), its
+    row leaves the state, the step's slot arrays and the noise, and is
+    not stepped again.  The generator returns once no row is live.
     """
     n, m = sys.n, sys.m
     if cfg.m != m:
@@ -156,6 +169,9 @@ def _run_batch(sys: LinearSystem, cfg: SchedulerConfig, horizon: int,
         raise ValueError("R must be diagonal; whiten the system first")
     N = len(seeds)
     K = horizon
+    # Every row starts at P0, so at step 0 the rows retire together.
+    if _past_ceiling(np.einsum("ii", sys.P0)):
+        return
     stats = scheduler_stats(cfg)
     shrink = np.array([s.drop_shrink for s in stats])
     thresholds = cfg.thresholds
@@ -195,8 +211,8 @@ def _run_batch(sys: LinearSystem, cfg: SchedulerConfig, horizon: int,
         e = np.einsum("ij,tj->ti", sys.A, e) + w_noise[:, k - 1]
         P = _linalg.time_update(P, sys.A, sys.Q)
         arr = arrived[:, k - 1]
-        high = np.empty((N, m), dtype=bool)
-        eps = np.empty((N, m))
+        high = np.empty((len(e), m), dtype=bool)
+        eps = np.empty((len(e), m))
         for i in range(m):
             c = sys.C[i]
             Pc, s_var = innovation_terms(P, c, r_diag[i])
@@ -207,21 +223,29 @@ def _run_batch(sys: LinearSystem, cfg: SchedulerConfig, horizon: int,
             P, gain = weighted_update(P, Pc, s_var, np.where(deliv, 1.0, shrink[i]))
             e = e - (deliv * z)[:, None] * gain
         P = psd_floor(P)
+        over = _past_ceiling(np.einsum("tii->t", P))
+        if over.any():
+            if over.all():
+                return
+            keep = ~over
+            e, P, high, arr, eps = e[keep], P[keep], high[keep], arr[keep], eps[keep]
+            w_noise, v_noise, arrived = w_noise[keep], v_noise[keep], arrived[keep]
         yield k, e, P, high, arr, eps
 
 
 def simulate_trial(sys: LinearSystem, cfg: SchedulerConfig, horizon: int,
                    seed: int) -> TrialRecord:
-    """One closed-loop trial, bit-reproducible from its seed; truncated
-    at the first step whose covariance trace is past the ceiling."""
+    """One closed-loop trial, bit-reproducible from its seed: the steps of
+    ``_run_batch`` on a batch of one, truncated if they end early."""
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
     n, m, K = sys.n, sys.m, horizon
-    errors = np.empty((K + 1, n))
-    covs = np.empty((K + 1, n, n))
-    high = np.empty((K, m), dtype=bool)
-    arrived = np.empty((K, m), dtype=bool)
-    innovations = np.empty((K, m))
+    errors = np.full((K + 1, n), np.nan)
+    covs = np.full((K + 1, n, n), np.nan)
+    high = np.zeros((K, m), dtype=bool)
+    arrived = np.zeros((K, m), dtype=bool)
+    innovations = np.full((K, m), np.nan)
+    k = -1  # the last step yielded
     for k, e, P, hi, arr, eps in _run_batch(sys, cfg, K, [int(seed)]):
         errors[k] = e[0]
         covs[k] = P[0]
@@ -229,13 +253,8 @@ def simulate_trial(sys: LinearSystem, cfg: SchedulerConfig, horizon: int,
             high[k - 1] = hi[0]
             arrived[k - 1] = arr[0]
             innovations[k - 1] = eps[0]
-
-    over = np.flatnonzero(_past_ceiling(np.einsum("kii->k", covs)))
-    trunc = int(over[0]) if over.size else None
-    if trunc is not None:
-        errors[trunc:] = np.nan
-        covs[trunc:] = np.nan
-        innovations[max(trunc - 1, 0):] = np.nan
+    energy = np.where(high, cfg.energy_high, cfg.energy_low)
+    energy[max(k, 0):] = np.nan
     return TrialRecord(
         seed=int(seed),
         errors=errors,
@@ -244,8 +263,8 @@ def simulate_trial(sys: LinearSystem, cfg: SchedulerConfig, horizon: int,
         arrived=arrived,
         delivered=high | arrived,
         innovations=innovations,
-        energy=np.where(high, cfg.energy_high, cfg.energy_low),
-        truncated_at=trunc,
+        energy=energy,
+        truncated_at=k + 1 if k < K else None,
     )
 
 
@@ -273,9 +292,8 @@ class _Totals:
         delta = mean_b - mean,  mean += delta n_b / n,
         M2 += M2_b + delta^2 n_a n_b / n,   n = n_a + n_b.
 
-    A row is live until the first step whose covariance trace is past
-    the ceiling (``mare._past_ceiling``), where ``simulate_trial``
-    truncates it; a step counts only the rows live there.
+    ``_run_batch`` yields only the rows live at a step, so ``count[k]``
+    is the number of trials live at step k.
     """
 
     def __init__(self, horizon: int, n: int, m: int):
@@ -285,27 +303,15 @@ class _Totals:
         self.m2_P = np.zeros((K + 1, n, n))
         self.outer = np.zeros((K + 1, n, n))
         self.high = np.zeros((K, m), dtype=np.int64)
-        self.truncated = 0
 
-    def add(self, steps) -> None:
-        """Fold in the steps of one ``_run_batch`` block as they come."""
-        live = None
-        for k, e, P, high, _, _ in steps:
-            over = _past_ceiling(np.einsum("tii->t", P))
-            live = ~over if live is None else live & ~over
-            if not live.all():
-                e, P = e[live], P[live]
-                high = None if high is None else high[live]
-            self._fold(k, e, P, high)
-        self.truncated += int(np.count_nonzero(~live))
-
-    def _fold(self, k: int, e: np.ndarray, P: np.ndarray, high) -> None:
+    def fold(self, k: int, e: np.ndarray, P: np.ndarray, high) -> None:
+        """Fold in step k of one ``_run_batch`` block."""
         n_b = P.shape[0]
-        mean_b = P.sum(axis=0) / max(n_b, 1)
+        mean_b = P.sum(axis=0) / n_b
         dev = P - mean_b
         n_a = self.count[k]
         n_ab = n_a + n_b
-        w = n_b / max(n_ab, 1)
+        w = n_b / n_ab
         delta = mean_b - self.mean_P[k]
         self.mean_P[k] += delta * w
         self.m2_P[k] += (np.einsum("tij,tij->ij", dev, dev)
@@ -337,7 +343,7 @@ class _Totals:
             energy_per_step=energy_per_step,
             high_power_rate=self.high.sum(axis=0) / (self.count[1:].sum() or np.nan),
             high_rate_per_step=self.high / slots[:, None],
-            truncated_trials=self.truncated,
+            truncated_trials=trials - int(self.count[horizon]),
         )
 
 
@@ -347,7 +353,7 @@ def monte_carlo(sys: LinearSystem, cfg: SchedulerConfig, horizon: int,
 
     Trial t equals ``simulate_trial`` at ``derive_trial_seed(master_seed,
     t)``, so the summary is reproducible bit for bit, and a trial stops
-    counting where ``simulate_trial`` truncates it.  Trials run in fixed
+    counting where ``_run_batch`` retires it.  Trials run in fixed
     blocks of ``_BLOCK``, in trial order; each block derives its own trial
     seeds from its index range as it starts, and each step of a block
     folds into running per-step aggregates as soon as it is computed.
@@ -362,8 +368,11 @@ def monte_carlo(sys: LinearSystem, cfg: SchedulerConfig, horizon: int,
 
     totals = _Totals(horizon, sys.n, sys.m)
     for lo in range(0, trials, _BLOCK):
-        seeds = _trial_seeds(master_seed, lo, min(lo + _BLOCK, trials))
-        totals.add(_run_batch(sys, cfg, horizon, _hashed_seeds(seeds)))
+        seeds = _hashed_seeds(_trial_seeds(master_seed, lo, min(lo + _BLOCK, trials)))
+        for k, e, P, high, _, _ in _run_batch(sys, cfg, horizon, seeds):
+            totals.fold(k, e, P, high)
+        # Let the block's last step go before the next block draws noise.
+        e = P = high = None
     return totals.summary(cfg, horizon, trials, master_seed)
 
 

@@ -94,7 +94,8 @@ class TestSimulate:
         out = tmp_path / "nan"
         path = write_config(tmp_path, base_config(
             out, system=dict(EXAMPLE_SYSTEM, A=[[1e200]])))
-        assert main(["simulate", str(path)]) == EXIT_TRUNCATED
+        with pytest.warns(RuntimeWarning):
+            assert main(["simulate", str(path)]) == EXIT_TRUNCATED
         assert "50 trials hit the covariance ceiling 1e+12" in capsys.readouterr().err
         assert json.loads((out / "summary.json").read_text())["truncated_trials"] == 50
         assert main(["analyze", str(path)]) == EXIT_OK

@@ -540,6 +540,17 @@ class TestFixedPoint:
             with pytest.raises(ValueError, match="tol"):
                 iterate_fixed_point(example_problem(), tol=tol)
 
+    def test_rejects_bad_x0(self):
+        # the rates-0.6 example has a fixed point (0.5821), so a bad X0
+        # must not come back as "diverged" or a numpy error
+        for X0 in ([[np.nan]], [[np.inf]], np.eye(2), [1.0], [[-1.0]]):
+            with pytest.raises(ValueError, match="X0"):
+                iterate_fixed_point(example_problem(), X0=X0)
+        prob = random_problem(np.random.default_rng(0), n=2, m=1, radius=0.5)
+        for X0 in (-np.eye(2), [[1.0, 0.5], [0.0, 1.0]]):
+            with pytest.raises(ValueError, match="X0"):
+                iterate_fixed_point(prob, X0=X0)
+
 
 def scalar_fixed_point(a, q, r, rate):
     """Closed-form fixed point of the one-slot scalar map.

@@ -103,23 +103,34 @@ class TestDeterminism:
         assert np.array_equal(summ.energy_per_step, rec.step_energy())
 
     def test_batch_rows_equal_single_trials(self):
-        # every row of a dense block is computed as it would be alone
-        # and monte_carlo's pre-hashed block seeds give the rows of
+        # every row of a block is computed as it would be alone, a row
+        # leaves the block at the step where its trial truncates, and
+        # monte_carlo's pre-hashed block seeds give the rows of
         # simulate_trial(derive_trial_seed(8, t))
         seeds = [derive_trial_seed(8, t) for t in range(6)]
-        records = [simulate_trial(DENSE_N3_M2, OP_LEVEL_CFG, 30, seed)
-                   for seed in seeds]
         hashed = _hashed_seeds(_trial_seeds(8, 0, 6))
-        for block in (seeds, hashed):
-            for k, e, P, high, arrived, eps in sim._run_batch(
-                    DENSE_N3_M2, OP_LEVEL_CFG, 30, block):
-                for t, rec in enumerate(records):
-                    assert np.array_equal(e[t], rec.errors[k])
-                    assert np.array_equal(P[t], rec.covariances[k])
-                    if k:
-                        assert np.array_equal(high[t], rec.high_power[k - 1])
-                        assert np.array_equal(arrived[t], rec.arrived[k - 1])
-                        assert np.array_equal(eps[t], rec.innovations[k - 1])
+        for sysm, cfg, horizon, retiring in ((DENSE_N3_M2, OP_LEVEL_CFG, 30, 0),
+                                             (DIVERGING, SLOW_RATES, 40, 2)):
+            records = [simulate_trial(sysm, cfg, horizon, seed) for seed in seeds]
+            stop = [horizon + 1 if r.truncated_at is None else r.truncated_at
+                    for r in records]
+            # the case is the one intended: rows retire at that many steps
+            assert len({s for s in stop if s <= horizon}) >= retiring
+            for block in (seeds, hashed):
+                steps = 0
+                for k, e, P, high, arrived, eps in sim._run_batch(
+                        sysm, cfg, horizon, block):
+                    live = [rec for rec, s in zip(records, stop) if k < s]
+                    assert len(e) == len(P) == len(live)
+                    for t, rec in enumerate(live):
+                        assert np.array_equal(e[t], rec.errors[k])
+                        assert np.array_equal(P[t], rec.covariances[k])
+                        if k:
+                            assert np.array_equal(high[t], rec.high_power[k - 1])
+                            assert np.array_equal(arrived[t], rec.arrived[k - 1])
+                            assert np.array_equal(eps[t], rec.innovations[k - 1])
+                    steps += 1
+                assert steps == min(max(stop), horizon + 1)
 
     def test_trial_order_invariance_within_epsilon(self):
         # aggregation uses pairwise summation, so permuting the trials can
@@ -246,18 +257,22 @@ class TestStreamedSummary:
 
     def test_block_peak_is_set_by_its_noise(self):
         # a block keeps its noise and one step of state; nothing else in
-        # it has a horizon axis
-        sysm = random_observable_system(np.random.default_rng(3), 4, 1)
-        cfg = SchedulerConfig(thresholds=[1.0], arrival_prob=0.5)
+        # it has a horizon axis, and retiring rows copies no more than it
         trials, horizon = 512, 200
-        noise_bytes = trials * horizon * (sysm.n + 2 * sysm.m) * 8
-        tracemalloc.start()
-        try:
-            monte_carlo(sysm, cfg, horizon, trials=trials, master_seed=5)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 2.5 * noise_bytes
+        for radius, cfg, truncated in (
+                (0.95, SchedulerConfig(thresholds=[1.0], arrival_prob=0.5), 0),
+                (3.0, SchedulerConfig.from_rates([0.1], arrival_prob=0.02), trials)):
+            sysm = random_observable_system(np.random.default_rng(3), 4, 1,
+                                            spectral_radius=radius)
+            noise_bytes = trials * horizon * (sysm.n + 2 * sysm.m) * 8
+            tracemalloc.start()
+            try:
+                summ = monte_carlo(sysm, cfg, horizon, trials=trials, master_seed=5)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert summ.truncated_trials == truncated
+            assert peak <= 2.5 * noise_bytes
 
 
 class TestEngineConsistency:
@@ -379,13 +394,45 @@ class TestTruncation:
         # trace is past the ceiling, so the trial truncates there and no
         # slot of it is counted
         cfg = SchedulerConfig.from_rates([0.6, 0.6], arrival_prob=0.5)
-        rec = simulate_trial(OVERFLOWING, cfg, 20, seed=1)
+        with pytest.warns(RuntimeWarning):
+            rec = simulate_trial(OVERFLOWING, cfg, 20, seed=1)
         assert rec.truncated_at == 1
         assert np.isnan(rec.covariances[1:]).all()
-        summ = monte_carlo(OVERFLOWING, cfg, 20, trials=10, master_seed=1)
+        assert np.isnan(rec.innovations).all() and np.isnan(rec.step_energy()).all()
+        assert not (rec.high_power | rec.arrived | rec.delivered).any()
+        with pytest.warns(RuntimeWarning):
+            summ = monte_carlo(OVERFLOWING, cfg, 20, trials=10, master_seed=1)
         assert summ.truncated_trials == 10
         assert np.isnan(summ.energy_per_step).all()
         assert np.isnan(summ.high_rate_per_step).all()
+
+    def test_block_stops_stepping_once_every_row_retires(self, monkeypatch):
+        # every row of the overflowing plant retires at step 1, so the
+        # block makes that one time update and yields step 0 alone
+        calls = []
+        real = sim._linalg.time_update
+
+        def counted(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(sim._linalg, "time_update", counted)
+        cfg = SchedulerConfig.from_rates([0.6, 0.6], arrival_prob=0.5)
+        seeds = [derive_trial_seed(1, t) for t in range(8)]
+        with pytest.warns(RuntimeWarning):
+            steps = [k for k, *_ in sim._run_batch(OVERFLOWING, cfg, 50, seeds)]
+        assert steps == [0]
+        assert len(calls) == 1
+
+    def test_ceiling_at_p0_truncates_at_step_zero(self):
+        # P0 past the ceiling retires every row before any step is taken
+        sysm = dataclasses.replace(EXAMPLE, P0=[[1e13]])
+        rec = simulate_trial(sysm, example_cfg(), 10, seed=1)
+        assert rec.truncated_at == 0
+        assert np.isnan(rec.covariances).all() and np.isnan(rec.energy).all()
+        summ = monte_carlo(sysm, example_cfg(), 10, trials=5, master_seed=1)
+        assert summ.truncated_trials == 5
+        assert np.isnan(summ.mean_P).all()
 
 
 class TestStatisticalBehavior:
