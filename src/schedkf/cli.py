@@ -40,7 +40,7 @@ import numpy as np
 
 from .channel import SchedulerConfig, scheduler_stats
 from .mare import DEFAULT_TRACE_CEILING, MareProblem, analyze
-from .model import LinearSystem, is_diagonal, validate
+from .model import LinearSystem, validate
 from .sim import monte_carlo, summary_json_dict, write_summary_csv
 from .stats import threshold_for_rate
 
@@ -160,14 +160,12 @@ def parse_config(data: dict) -> ExperimentConfig:
     _check_keys(data, "config")
     try:
         system = LinearSystem.from_dict(data["system"])
+        # The sequential filter needs a diagonal R; reject before any compute.
+        system.r_diag()
     except KeyError as exc:
         raise ConfigError(f"config missing key: {exc}") from exc
     except ValueError as exc:
         raise ConfigError(f"invalid system: {exc}") from exc
-    # The sequential filter runs on diag(R) only; reject before any compute.
-    if not is_diagonal(system.R):
-        raise ConfigError("invalid system: R must be diagonal; "
-                          "whiten the system first")
 
     sched_data = _check_keys(data.get("scheduler"), "scheduler")
     if sched_data.get("beta") is None:

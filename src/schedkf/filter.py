@@ -91,6 +91,7 @@ def step(state: FilterState, sys: LinearSystem, slots: Sequence[SlotUpdate],
     if len(slots) != sys.m or len(stats) != sys.m:
         raise ValueError(f"expected {sys.m} slots and stats, got "
                          f"{len(slots)} and {len(stats)}")
+    r = sys.r_diag()
     x = sys.A @ state.x
     P = time_update(state.P, sys.A, sys.Q)
     innov = np.full(sys.m, np.nan)
@@ -103,7 +104,7 @@ def step(state: FilterState, sys: LinearSystem, slots: Sequence[SlotUpdate],
             raise ValueError(f"slot {i} must carry a value exactly when "
                              f"delivered (delivered={delivered})")
         c = sys.C[i]
-        Pc, s_var = innovation_terms(P, c, sys.R[i, i])
+        Pc, s_var = innovation_terms(P, c, r[i])
         P, gain = weighted_update(P, Pc, s_var, 1.0 if delivered else
                                   stats[i].drop_shrink)
         if delivered:

@@ -47,7 +47,7 @@ import numpy as np
 
 from . import _linalg
 from ._linalg import innovation_terms, min_eig, sym, weighted_update
-from .model import LinearSystem, _check_spd, is_diagonal
+from .model import LinearSystem, _check_spd
 
 __all__ = [
     "MareProblem", "FixedPointResult", "NecessaryCheck", "Certificate",
@@ -87,8 +87,7 @@ class MareProblem:
             )
         if not np.all((rates >= 0.0) & (rates <= 1.0)):
             raise ValueError("info rates must lie in [0, 1]")
-        if not is_diagonal(self.system.R):
-            raise ValueError("R must be diagonal; whiten the system first")
+        self.system.r_diag()  # raises for a correlated R
         rates.setflags(write=False)
         object.__setattr__(self, "info_rates", rates)
 
@@ -509,7 +508,8 @@ def analyze(problem: MareProblem) -> MareReport:
                                  "despite Q > 0")
         # Possible when Q is singular PSD; recorded, not fatal.
         messages.append("fixed point is singular positive semidefinite")
-    if fp.status == "diverged" and _necessary_decides(problem):
+    # diverged at iteration 0 is exactly where _necessary_decides holds
+    if fp.status == "diverged" and fp.iterations == 0:
         messages.append("diverged without iterating: the necessary condition "
                         "fails and Q > 0")
     return MareReport(status=fp.status, fixed_point=fp.fixed_point,

@@ -46,16 +46,6 @@ def _check_spd(M: np.ndarray, name: str, *, allow_semidefinite: bool) -> None:
         )
 
 
-def is_diagonal(M: np.ndarray) -> bool:
-    """Off-diagonal entries vanish up to 1e-12 * (1 + max |M|).
-
-    The sequential filter and the Riccati operator need a diagonal R;
-    this is the one tolerance every caller applies.
-    """
-    off = M - np.diag(np.diag(M))
-    return bool(np.max(np.abs(off)) <= 1e-12 * (1.0 + np.max(np.abs(M))))
-
-
 @dataclass(frozen=True)
 class LinearSystem:
     """Plant matrices plus the initial-state prior.
@@ -106,6 +96,11 @@ class LinearSystem:
         for name, arr in fields:
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+        # Decided once: R is diagonal when its off-diagonal entries vanish
+        # up to 1e-12 * (1 + max |R|) (see ``r_diag``).
+        off = np.abs(R - np.diag(np.diag(R))).max()
+        diagonal = off <= 1e-12 * (1.0 + np.abs(R).max())
+        object.__setattr__(self, "_r_diag", np.diag(R) if diagonal else None)
 
     @property
     def n(self) -> int:
@@ -118,8 +113,12 @@ class LinearSystem:
         return self.C.shape[0]
 
     def r_diag(self) -> np.ndarray:
-        """Diagonal of R, the per-slot measurement noise variances."""
-        return np.diag(self.R)
+        """Diagonal of R, the per-slot measurement noise variances: the
+        filter, the engine and the operator read R only through this, and
+        a correlated R, which slot-by-slot updates misfilter, raises."""
+        if self._r_diag is None:
+            raise ValueError("R must be diagonal; whiten the system first")
+        return self._r_diag
 
     @classmethod
     def from_dict(cls, data: dict) -> "LinearSystem":
@@ -208,7 +207,7 @@ def validate(sys: LinearSystem) -> ValidationReport:
     if not observable:
         messages.append("(C, A) is not observable")
 
-    r_diagonal = is_diagonal(sys.R)
+    r_diagonal = sys._r_diag is not None
     if not r_diagonal:
         messages.append("R is not diagonal; whiten the system before filtering")
 

@@ -59,7 +59,7 @@ from ._linalg import innovation_terms, psd_factor, psd_floor, sym, weighted_upda
 from .channel import (SchedulerConfig, SlotOutcome, _hashed_seeds, _trial_seeds,
                       scheduler_stats)
 from .mare import MareProblem, _past_ceiling, riccati_map, time_update
-from .model import LinearSystem, is_diagonal
+from .model import LinearSystem
 
 __all__ = [
     "TrialRecord", "MonteCarloSummary", "BoundCheck",
@@ -164,9 +164,7 @@ def _run_batch(sys: LinearSystem, cfg: SchedulerConfig, horizon: int,
     if cfg.m != m:
         raise ValueError(f"scheduler has {cfg.m} thresholds but the system "
                          f"has {m} measurement components")
-    # The slot updates read only diag(R); a full R would be misfiltered.
-    if not is_diagonal(sys.R):
-        raise ValueError("R must be diagonal; whiten the system first")
+    r_diag = sys.r_diag()  # raises, before any draw, for a correlated R
     N = len(seeds)
     K = horizon
     # Every row starts at P0, so at step 0 the rows retire together.
@@ -206,24 +204,26 @@ def _run_batch(sys: LinearSystem, cfg: SchedulerConfig, horizon: int,
     P = np.tile(sys.P0, (N, 1, 1))
     yield 0, e, P, None, None, None
 
-    r_diag = sys.r_diag()
     for k in range(1, K + 1):
-        e = np.einsum("ij,tj->ti", sys.A, e) + w_noise[:, k - 1]
-        P = _linalg.time_update(P, sys.A, sys.Q)
-        arr = arrived[:, k - 1]
-        high = np.empty((len(e), m), dtype=bool)
-        eps = np.empty((len(e), m))
-        for i in range(m):
-            c = sys.C[i]
-            Pc, s_var = innovation_terms(P, c, r_diag[i])
-            z = np.einsum("tj,j->t", e, c) + v_noise[:, k - 1, i]
-            eps[:, i] = z / np.sqrt(s_var)
-            high[:, i] = np.abs(eps[:, i]) > thresholds[i]
-            deliv = high[:, i] | arr[:, i]
-            P, gain = weighted_update(P, Pc, s_var, np.where(deliv, 1.0, shrink[i]))
-            e = e - (deliv * z)[:, None] * gain
-        P = psd_floor(P)
-        over = _past_ceiling(np.einsum("tii->t", P))
+        # A row that overflows is past the ceiling and retires, so it needs
+        # no warning; a ``with`` around the yield would silence the caller.
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            e = np.einsum("ij,tj->ti", sys.A, e) + w_noise[:, k - 1]
+            P = _linalg.time_update(P, sys.A, sys.Q)
+            arr = arrived[:, k - 1]
+            high = np.empty((len(e), m), dtype=bool)
+            eps = np.empty((len(e), m))
+            for i in range(m):
+                c = sys.C[i]
+                Pc, s_var = innovation_terms(P, c, r_diag[i])
+                z = np.einsum("tj,j->t", e, c) + v_noise[:, k - 1, i]
+                eps[:, i] = z / np.sqrt(s_var)
+                high[:, i] = np.abs(eps[:, i]) > thresholds[i]
+                deliv = high[:, i] | arr[:, i]
+                P, gain = weighted_update(P, Pc, s_var, np.where(deliv, 1.0, shrink[i]))
+                e = e - (deliv * z)[:, None] * gain
+            P = psd_floor(P)
+            over = _past_ceiling(np.einsum("tii->t", P))
         if over.any():
             if over.all():
                 return

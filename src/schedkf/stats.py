@@ -16,14 +16,14 @@ stability theory:
 ``info_rate`` is the normalized average information received per slot;
 it decreases from 1 (threshold 0) to ``arrival_prob`` (threshold -> inf)
 and is the quantity the stability conditions are expressed in.
+
+erf and erfc come from the standard library's ``math`` module.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-from scipy.special import erf, erfc
 
 __all__ = ["q_tail", "ComponentStats", "component_stats", "threshold_for_rate"]
 
@@ -37,7 +37,7 @@ RATE_TOL = 1e-10
 
 def q_tail(x: float) -> float:
     """Standard normal tail probability P(Z > x)."""
-    return float(0.5 * erfc(x / _SQRT2))
+    return 0.5 * math.erfc(x / _SQRT2)
 
 
 def _drop_shrink(threshold: float) -> float:
@@ -46,7 +46,7 @@ def _drop_shrink(threshold: float) -> float:
     if threshold == 0.0:
         return 1.0  # limit value; removes the 0/0 at zero threshold
     t = float(threshold)
-    return float(_SQRT_2_OVER_PI * t * math.exp(-0.5 * t * t) / erf(t / _SQRT2))
+    return _SQRT_2_OVER_PI * t * math.exp(-0.5 * t * t) / math.erf(t / _SQRT2)
 
 
 @dataclass(frozen=True)

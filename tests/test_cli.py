@@ -1,10 +1,15 @@
 """Command-line front end: config handling, files, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import schedkf
 from schedkf import component_stats
 from schedkf.cli import (
     EXIT_INVALID,
@@ -94,8 +99,7 @@ class TestSimulate:
         out = tmp_path / "nan"
         path = write_config(tmp_path, base_config(
             out, system=dict(EXAMPLE_SYSTEM, A=[[1e200]])))
-        with pytest.warns(RuntimeWarning):
-            assert main(["simulate", str(path)]) == EXIT_TRUNCATED
+        assert main(["simulate", str(path)]) == EXIT_TRUNCATED
         assert "50 trials hit the covariance ceiling 1e+12" in capsys.readouterr().err
         assert json.loads((out / "summary.json").read_text())["truncated_trials"] == 50
         assert main(["analyze", str(path)]) == EXIT_OK
@@ -253,3 +257,18 @@ class TestConfigHandling:
             assert "R must be diagonal" in capsys.readouterr().err
         assert not (out / "effective_config.json").exists()
         assert not list(out.glob("summary.*"))
+
+    def test_set_up_needs_no_scipy(self, tmp_path):
+        # the package runs on numpy alone (scipy serves the tests'
+        # oracles): a fresh interpreter that imports it and resolves a
+        # lambda_target config never loads scipy
+        path = write_config(tmp_path, base_config(tmp_path / "o"))
+        code = ("import sys, schedkf, schedkf.cli\n"
+                f"schedkf.cli.load_config({str(path)!r})\n"
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        root = str(Path(schedkf.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [root, os.environ.get("PYTHONPATH")])))
+        run = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert run.stdout.strip() == "[]"

@@ -161,6 +161,22 @@ class TestStep:
             assert np.max(np.abs(st.x - x_ref)) <= 1e-9
             assert np.max(np.abs(st.P - P_ref)) <= 1e-9
 
+    def test_correlated_r_rejected(self):
+        # slot-by-slot updates equal the batch filter only for a diagonal
+        # R: reading diag(R) here would give P = 0.392 where the batch
+        # filter gives 0.634
+        sysm = LinearSystem(A=[[0.9]], C=[[1.0], [1.0]], Q=[[1.0]],
+                            R=[[1.0, 0.95], [0.95, 1.0]], x0_mean=[0.0], P0=[[1.0]])
+        y = np.array([0.3, -0.2])
+        _, P_ref = batch_kf_step(sysm.x0_mean, sysm.P0, sysm.A, sysm.C, sysm.Q,
+                                 sysm.R, y)
+        assert P_ref[0, 0] == pytest.approx(0.634, abs=1e-3)
+        stats = [component_stats(0.0, 0.5)] * 2
+        with pytest.raises(ValueError, match="R must be diagonal"):
+            step(FilterState.initial(sysm), sysm, delivered_slots(sysm, y), stats)
+        # the system decided the fact when it was built; no step repeats it
+        assert SCALAR.r_diag() is SCALAR.r_diag()
+
     def test_all_dropped_with_huge_threshold_keeps_prediction(self):
         sysm = LinearSystem(A=[[1.2]], C=[[1.0], [1.0]], Q=[[1.0]],
                             R=[[0.1, 0.0], [0.0, 1.0]], x0_mean=[0.0], P0=[[1.0]])

@@ -25,6 +25,7 @@ from schedkf import (
     partial_update,
     sufficient_check,
 )
+from schedkf import mare
 from schedkf.mare import (
     cascade_envelope,
     gain_envelope,
@@ -713,13 +714,27 @@ class TestAnalyze:
         assert isinstance(doc["trace_history"], list)
         assert np.asarray(doc["fixed_point"]).shape == (1, 1)
 
-    def test_necessary_short_cut_reported(self):
+    def test_necessary_short_cut_reported(self, monkeypatch):
+        calls = []
+        real = mare._necessary_decides
+        monkeypatch.setattr(mare, "_necessary_decides",
+                            lambda problem: calls.append(1) or real(problem))
         rep = analyze(example_problem(rates=(0.1, 0.1)))
         assert rep.status == "diverged"
         assert rep.iterations == 0
         assert any("necessary condition" in msg for msg in rep.messages)
+        # the proof runs once; analyze reads its outcome from the result
+        assert len(calls) == 1
         assert not any("necessary condition" in msg
                        for msg in analyze(example_problem()).messages)
+        # a singular Q leaves the proof open, so divergence takes iterating
+        sysm = LinearSystem(A=[[2.0, 1.0], [0.0, 0.5]], C=[[0.0, 1.0]],
+                            Q=np.diag([0.0, 1.0]), R=[[1.0]], x0_mean=[0.0, 0.0],
+                            P0=np.eye(2))
+        rep = analyze(MareProblem(system=sysm, info_rates=[0.5]))
+        assert rep.status == "diverged" and rep.iterations > 0
+        assert not rep.necessary.ok
+        assert not any("necessary condition" in msg for msg in rep.messages)
 
 
 class TestProblem:

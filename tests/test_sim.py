@@ -244,15 +244,20 @@ class TestStreamedSummary:
         filler = [tuple(range(size)) for size in range(1, 21) for _ in range(2000)]
         del filler
 
+        def run(trials):
+            monte_carlo(EXAMPLE, example_cfg(), 2, trials=trials, master_seed=9)
+
         def peak(trials):
             tracemalloc.start()
             try:
-                monte_carlo(EXAMPLE, example_cfg(), 2, trials=trials,
-                            master_seed=9)
+                run(trials)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
 
+        # a first call in a fresh interpreter also makes the one-time
+        # allocations of the code it reaches; keep them out of both peaks
+        run(8)
         assert peak(8 * 512) <= 1.15 * peak(8)
 
     def test_block_peak_is_set_by_its_noise(self):
@@ -394,14 +399,12 @@ class TestTruncation:
         # trace is past the ceiling, so the trial truncates there and no
         # slot of it is counted
         cfg = SchedulerConfig.from_rates([0.6, 0.6], arrival_prob=0.5)
-        with pytest.warns(RuntimeWarning):
-            rec = simulate_trial(OVERFLOWING, cfg, 20, seed=1)
+        rec = simulate_trial(OVERFLOWING, cfg, 20, seed=1)
         assert rec.truncated_at == 1
         assert np.isnan(rec.covariances[1:]).all()
         assert np.isnan(rec.innovations).all() and np.isnan(rec.step_energy()).all()
         assert not (rec.high_power | rec.arrived | rec.delivered).any()
-        with pytest.warns(RuntimeWarning):
-            summ = monte_carlo(OVERFLOWING, cfg, 20, trials=10, master_seed=1)
+        summ = monte_carlo(OVERFLOWING, cfg, 20, trials=10, master_seed=1)
         assert summ.truncated_trials == 10
         assert np.isnan(summ.energy_per_step).all()
         assert np.isnan(summ.high_rate_per_step).all()
@@ -419,10 +422,16 @@ class TestTruncation:
         monkeypatch.setattr(sim._linalg, "time_update", counted)
         cfg = SchedulerConfig.from_rates([0.6, 0.6], arrival_prob=0.5)
         seeds = [derive_trial_seed(1, t) for t in range(8)]
-        with pytest.warns(RuntimeWarning):
-            steps = [k for k, *_ in sim._run_batch(OVERFLOWING, cfg, 50, seeds)]
+        steps = [k for k, *_ in sim._run_batch(OVERFLOWING, cfg, 50, seeds)]
         assert steps == [0]
         assert len(calls) == 1
+
+    def test_error_state_holds_between_steps(self):
+        # the engine silences overflow only inside a step: while the
+        # generator is suspended, the caller's numpy error state holds
+        before = np.geterr()
+        for _ in sim._run_batch(EXAMPLE, example_cfg(), 3, [1, 2]):
+            assert np.geterr() == before
 
     def test_ceiling_at_p0_truncates_at_step_zero(self):
         # P0 past the ceiling retires every row before any step is taken
