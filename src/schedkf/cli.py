@@ -9,10 +9,10 @@ Subcommands:
     solve-threshold           invert a target information rate into a
                               scheduler threshold
 
-Exit codes: 0 success, 1 unreadable config, 2 invalid config (nothing
-is written or run), 3 simulation finished but some trials were
-truncated, their covariance trace past 1e12 or not finite (files are
-still written).  Analysis verdicts are data, not exit codes.
+Exit codes: 0 success, 1 unreadable config or unwritable output, 2
+invalid config (nothing is written or run), 3 some trials were truncated,
+their covariance trace past 1e12 or not finite (files are still
+written).  Analysis verdicts are data, not exit codes.
 
 A config is a JSON object with the keys system, scheduler, horizon,
 trials, master_seed and output; scheduler takes eta, lambda_target,
@@ -41,7 +41,7 @@ import numpy as np
 from .channel import SchedulerConfig, scheduler_stats
 from .mare import DEFAULT_TRACE_CEILING, MareProblem, analyze
 from .model import LinearSystem, validate
-from .sim import monte_carlo, summary_json_dict, write_summary_csv
+from .sim import _BLOCK, monte_carlo, summary_json_dict, write_summary_csv
 from .stats import threshold_for_rate
 
 __all__ = ["ExperimentConfig", "load_config", "run_simulate", "run_analyze", "main"]
@@ -62,6 +62,10 @@ _KEYS = {
 
 class ConfigError(ValueError):
     """Semantically invalid experiment configuration."""
+
+
+class _Unreadable(Exception):
+    """The config file could not be read or parsed."""
 
 
 @dataclass
@@ -221,7 +225,10 @@ def _write_json(path: Path, payload: dict) -> None:
 
 
 def _prepare(args) -> tuple[ExperimentConfig, Path]:
-    cfg = _apply_overrides(load_config(args.config), args)
+    try:
+        cfg = _apply_overrides(load_config(args.config), args)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise _Unreadable(exc) from exc
     out = cfg.out_dir
     out.mkdir(parents=True, exist_ok=True)
     _write_json(out / "effective_config.json", cfg.to_effective_dict())
@@ -258,7 +265,7 @@ def run_analyze(args) -> int:
     payload = report.to_json_dict()
     payload["info_rates"] = cfg.info_rates().tolist()
     _write_json(out / "analysis.json", payload)
-    print(f"analyze: status={report.status} necessary={report.necessary.ok} "
+    print(f"analyze: status={report.fixed.status} necessary={report.necessary.ok} "
           f"sufficient={report.sufficient.ok} -> {out / 'analysis.json'}")
     return EXIT_OK
 
@@ -273,7 +280,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="schedkf",
         description="Power-scheduled sequential Kalman filtering experiments",
-        epilog="simulate steps its trials in fixed blocks of 1024 and folds "
+        epilog=f"simulate steps its trials in fixed blocks of {_BLOCK} and folds "
                "each step into running sums as it is computed, so memory "
                "holds one block's noise and one step of its state and does "
                "not grow with --trials; results depend only on the config "
@@ -281,19 +288,15 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    p_sim = sub.add_parser("simulate", help="run the closed-loop Monte Carlo")
+    p_sim.set_defaults(func=run_simulate)
+    p_an = sub.add_parser("analyze", help="fixed point and stability checks")
+    p_an.set_defaults(func=run_analyze)
+    for p in (p_sim, p_an):
         p.add_argument("config", help="experiment config (JSON)")
         p.add_argument("--out", help="output directory override")
-        p.add_argument("--trials", type=int, help="trial count override")
-        p.add_argument("--seed", type=int, help="master seed override")
-
-    p_sim = sub.add_parser("simulate", help="run the closed-loop Monte Carlo")
-    add_common(p_sim)
-    p_sim.set_defaults(func=run_simulate)
-
-    p_an = sub.add_parser("analyze", help="fixed point and stability checks")
-    add_common(p_an)
-    p_an.set_defaults(func=run_analyze)
+    p_sim.add_argument("--trials", type=int, help="trial count override")
+    p_sim.add_argument("--seed", type=int, help="master seed override")
 
     p_th = sub.add_parser("solve-threshold",
                           help="threshold achieving a target information rate")
@@ -309,8 +312,11 @@ def main(argv: Optional[list] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, json.JSONDecodeError) as exc:
+    except _Unreadable as exc:
         print(f"error: cannot read config: {exc}", file=_sys.stderr)
+        return EXIT_UNREADABLE
+    except OSError as exc:
+        print(f"error: cannot write output: {exc}", file=_sys.stderr)
         return EXIT_UNREADABLE
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=_sys.stderr)

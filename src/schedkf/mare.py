@@ -403,7 +403,7 @@ def _necessary_decides(problem: MareProblem) -> bool:
     is <= 0, so Q > 0 leaves no fixed point.  With a singular Q the
     dominant mode may be unexcited and a finite fixed point may exist.
     """
-    return not necessary_check(problem).ok and min_eig(problem.system.Q) > 0.0
+    return not necessary_check(problem).ok and problem.system._q_definite
 
 
 @dataclass(frozen=True)
@@ -463,24 +463,22 @@ def sufficient_check(problem: MareProblem,
 
 @dataclass
 class MareReport:
-    """Everything the stability analysis produced, JSON-serializable."""
+    """Everything the stability analysis produced, JSON-serializable: the
+    ``iterate_fixed_point`` result as it came, both checks and messages."""
 
-    status: str
-    fixed_point: Optional[np.ndarray]
-    iterations: int
-    trace_history: np.ndarray
+    fixed: FixedPointResult
     necessary: NecessaryCheck
     sufficient: SufficientCheck
     messages: list = field(default_factory=list)
 
     def to_json_dict(self) -> dict:
-        fp = None if self.fixed_point is None else self.fixed_point.tolist()
+        fp = self.fixed
         cert = self.sufficient.certificate
         return {
-            "status": self.status,
-            "fixed_point": fp,
-            "iterations": self.iterations,
-            "trace_history": [float(t) for t in self.trace_history],
+            "status": fp.status,
+            "fixed_point": None if fp.fixed_point is None else fp.fixed_point.tolist(),
+            "iterations": fp.iterations,
+            "trace_history": [float(t) for t in fp.trace_history],
             "necessary": {"lhs": self.necessary.lhs, "rhs": self.necessary.rhs,
                           "ok": self.necessary.ok},
             "sufficient": {
@@ -500,7 +498,7 @@ def analyze(problem: MareProblem) -> MareReport:
     messages: list = []
     fp = iterate_fixed_point(problem)
     if fp.converged and min_eig(fp.fixed_point) <= 0.0:
-        if min_eig(problem.system.Q) > 0.0:
+        if problem.system._q_definite:
             # With full-rank process noise the limit of the monotone
             # iteration is strictly positive definite; anything else
             # means the operator algebra is broken.
@@ -512,8 +510,6 @@ def analyze(problem: MareProblem) -> MareReport:
     if fp.status == "diverged" and fp.iterations == 0:
         messages.append("diverged without iterating: the necessary condition "
                         "fails and Q > 0")
-    return MareReport(status=fp.status, fixed_point=fp.fixed_point,
-                      iterations=fp.iterations, trace_history=fp.trace_history,
-                      necessary=necessary_check(problem),
+    return MareReport(fixed=fp, necessary=necessary_check(problem),
                       sufficient=sufficient_check(problem, fixed_point=fp),
                       messages=messages)

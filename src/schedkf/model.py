@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._linalg import PSD_RTOL, sym
+from ._linalg import PSD_RTOL, psd_factor, sym
 
 __all__ = ["LinearSystem", "ValidationReport", "validate", "whiten"]
 
@@ -28,7 +28,7 @@ def _as_matrix(value, name: str) -> np.ndarray:
     return M
 
 
-def _check_spd(M: np.ndarray, name: str, *, allow_semidefinite: bool) -> None:
+def _check_spd(M: np.ndarray, name: str, *, allow_semidefinite: bool) -> float:
     if M.shape[0] != M.shape[1]:
         raise ValueError(f"{name} must be square, got shape {M.shape}")
     if not np.allclose(M, M.T, atol=1e-9, rtol=1e-9):
@@ -44,6 +44,7 @@ def _check_spd(M: np.ndarray, name: str, *, allow_semidefinite: bool) -> None:
         raise ValueError(
             f"{name} must be positive definite; min eigenvalue {w[0]:.3e}"
         )
+    return float(w[0])
 
 
 @dataclass(frozen=True)
@@ -89,7 +90,7 @@ class LinearSystem:
         if P0.shape != (n, n):
             raise ValueError(f"P0 must be {n}x{n}, got shape {P0.shape}")
 
-        _check_spd(Q, "Q", allow_semidefinite=True)
+        q_min = _check_spd(Q, "Q", allow_semidefinite=True)
         _check_spd(R, "R", allow_semidefinite=False)
         _check_spd(P0, "P0", allow_semidefinite=False)
 
@@ -101,6 +102,8 @@ class LinearSystem:
         off = np.abs(R - np.diag(np.diag(R))).max()
         diagonal = off <= 1e-12 * (1.0 + np.abs(R).max())
         object.__setattr__(self, "_r_diag", np.diag(R) if diagonal else None)
+        # Decided once: Q > 0 (see ``mare._necessary_decides``).
+        object.__setattr__(self, "_q_definite", q_min > 0.0)
 
     @property
     def n(self) -> int:
@@ -165,12 +168,15 @@ class ValidationReport:
         return self.controllable and self.observable and self.r_diagonal
 
 
-def _numeric_rank(M: np.ndarray, n: int, messages: list, label: str) -> int:
-    sv = np.linalg.svd(M, compute_uv=False)
-    smax = sv[0] if sv.size else 0.0
-    if smax == 0.0:
-        return 0
-    tol = n * np.finfo(float).eps * smax
+def _krylov_rank(A: np.ndarray, B: np.ndarray, messages: list, label: str) -> int:
+    """Numerical rank of the Krylov matrix [B, AB, ..., A^(n-1) B]: the
+    dimension of the smallest A-invariant subspace containing range(B)."""
+    n = A.shape[0]
+    blocks = [B]
+    for _ in range(n - 1):
+        blocks.append(A @ blocks[-1])
+    sv = np.linalg.svd(np.hstack(blocks), compute_uv=False)
+    tol = n * np.finfo(float).eps * sv[0]
     rank = int(np.sum(sv > tol))
     # A singular value hovering just above the cutoff means the rank test
     # is numerically fragile; surface that instead of silently deciding.
@@ -184,26 +190,18 @@ def _numeric_rank(M: np.ndarray, n: int, messages: list, label: str) -> int:
 
 
 def validate(sys: LinearSystem) -> ValidationReport:
-    """Rank-test controllability of (A, sqrt(Q)) and observability of (C, A),
-    and check that R is diagonal."""
+    """Rank-test controllability of (A, sqrt(Q)), through any factor of Q
+    (M M' = sum_k A^k Q A^k' fixes the singular values), and observability
+    of (C, A) through (A', C'), and check that R is diagonal."""
     n = sys.n
     messages: list = []
 
-    w, U = np.linalg.eigh(sym(sys.Q))
-    Qh = (U * np.sqrt(np.clip(w, 0.0, None))) @ U.T
-    blocks = [Qh]
-    for _ in range(n - 1):
-        blocks.append(sys.A @ blocks[-1])
-    ctrb = np.hstack(blocks)
-    controllable = _numeric_rank(ctrb, n, messages, "controllability") == n
+    controllable = _krylov_rank(sys.A, psd_factor(sys.Q), messages,
+                                "controllability") == n
     if not controllable:
         messages.append("(A, sqrt(Q)) is not controllable")
 
-    blocks = [sys.C]
-    for _ in range(n - 1):
-        blocks.append(blocks[-1] @ sys.A)
-    obsv = np.vstack(blocks)
-    observable = _numeric_rank(obsv, n, messages, "observability") == n
+    observable = _krylov_rank(sys.A.T, sys.C.T, messages, "observability") == n
     if not observable:
         messages.append("(C, A) is not observable")
 

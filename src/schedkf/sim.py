@@ -88,7 +88,6 @@ class TrialRecord:
     covariances: np.ndarray     # (K+1, n, n) reported posterior covariance
     high_power: np.ndarray      # (K, m) bool
     arrived: np.ndarray         # (K, m) bool, meaningful on low-power slots
-    delivered: np.ndarray       # (K, m) bool
     innovations: np.ndarray     # (K, m) sensor-side normalized innovations
     energy: np.ndarray          # (K, m)
     truncated_at: Optional[int] = None
@@ -96,6 +95,11 @@ class TrialRecord:
     @property
     def horizon(self) -> int:
         return self.innovations.shape[0]
+
+    @property
+    def delivered(self) -> np.ndarray:
+        """(K, m) bool: the slots the estimator received, high_power | arrived."""
+        return self.high_power | self.arrived
 
     def step_energy(self) -> np.ndarray:
         """Total transmit energy per step, k = 1..horizon."""
@@ -106,16 +110,12 @@ class TrialRecord:
         if not 1 <= k <= self.horizon:
             raise IndexError(f"step must lie in 1..{self.horizon}, got {k}")
         row = k - 1
-        return [
-            SlotOutcome(
-                high_power=bool(self.high_power[row, i]),
-                arrived=bool(self.arrived[row, i]),
-                innovation=float(self.innovations[row, i]),
-                energy=float(self.energy[row, i]),
-                delivered=bool(self.delivered[row, i]),
-            )
-            for i in range(self.innovations.shape[1])
-        ]
+        # one row's bits: ``delivered`` would OR the trial's whole arrays
+        rows = (self.high_power[row].tolist(), self.arrived[row].tolist(),
+                self.innovations[row].tolist(), self.energy[row].tolist())
+        return [SlotOutcome(high_power=high, arrived=arrived, innovation=innovation,
+                            energy=energy, delivered=high or arrived)
+                for high, arrived, innovation, energy in zip(*rows)]
 
 
 @dataclass
@@ -261,7 +261,6 @@ def simulate_trial(sys: LinearSystem, cfg: SchedulerConfig, horizon: int,
         covariances=covs,
         high_power=high,
         arrived=arrived,
-        delivered=high | arrived,
         innovations=innovations,
         energy=energy,
         truncated_at=k + 1 if k < K else None,

@@ -105,6 +105,28 @@ class TestSimulate:
         assert main(["analyze", str(path)]) == EXIT_OK
         assert json.loads((out / "analysis.json").read_text())["status"] == "diverged"
 
+    def test_unwritable_output_named(self, tmp_path, capsys):
+        # --out naming a regular file is an output error, not a config one
+        path = write_config(tmp_path, base_config(tmp_path / "o"))
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        assert main(["simulate", str(path), "--out", str(taken)]) == EXIT_UNREADABLE
+        err = capsys.readouterr().err
+        assert "cannot write output" in err and str(taken) in err
+        assert "cannot read config" not in err
+
+    def test_uncontrollable_plant_reported_not_fatal(self, tmp_path, capsys):
+        # Q = 0 voids the stability guarantees: validate says so on stderr
+        # and in summary.json, and the run still succeeds
+        out = tmp_path / "q0"
+        path = write_config(tmp_path, base_config(
+            out, system=dict(EXAMPLE_SYSTEM, Q=[[0.0]])))
+        assert main(["simulate", str(path)]) == EXIT_OK
+        assert "validate: (A, sqrt(Q)) is not controllable" in capsys.readouterr().err
+        validation = json.loads((out / "summary.json").read_text())["validation"]
+        assert validation == {"controllable": False, "observable": True,
+                              "r_diagonal": True}
+
     def test_overrides(self, tmp_path):
         out = tmp_path / "a"
         other = tmp_path / "b"
@@ -145,6 +167,18 @@ class TestAnalyze:
         assert rep["fixed_point"] is None
         assert rep["necessary"]["ok"] is False
         assert rep["sufficient"]["ok"] is False
+
+    def test_monte_carlo_overrides_refused(self, tmp_path):
+        # analyze runs no Monte Carlo, so --trials and --seed are not its
+        # options: argparse exits 2 before anything is read or written
+        out = tmp_path / "o"
+        path = write_config(tmp_path, base_config(out))
+        for flag in ("--seed", "--trials"):
+            with pytest.raises(SystemExit) as exc:
+                main(["analyze", str(path), flag, "3"])
+            assert exc.value.code == 2
+        assert not out.exists()
+
 
 class TestSolveThreshold:
     def test_prints_threshold(self, capsys):
@@ -202,7 +236,8 @@ class TestConfigHandling:
         entries, extra, named = MALFORMED[case]
         out = tmp_path / "o"
         path = write_config(tmp_path, {**base_config(out), **entries})
-        for command in ("simulate", "analyze"):
+        # the extra arguments are simulate's --trials and --seed
+        for command in ("simulate",) if extra else ("simulate", "analyze"):
             assert main([command, str(path), "--out", str(out)] + extra) \
                 == EXIT_INVALID
             assert named in capsys.readouterr().err

@@ -700,7 +700,7 @@ class TestAnalyze:
         sysm = LinearSystem(A=A, C=[[1.0, 0.0]], Q=Q, R=[[1.0]],
                             x0_mean=[0.0, 0.0], P0=np.eye(2))
         rep = analyze(MareProblem(system=sysm, info_rates=[0.8]))
-        assert rep.status == "converged"
+        assert rep.fixed.status == "converged"
         assert any("singular" in msg for msg in rep.messages)
 
     def test_report_json_shape(self):
@@ -720,8 +720,8 @@ class TestAnalyze:
         monkeypatch.setattr(mare, "_necessary_decides",
                             lambda problem: calls.append(1) or real(problem))
         rep = analyze(example_problem(rates=(0.1, 0.1)))
-        assert rep.status == "diverged"
-        assert rep.iterations == 0
+        assert rep.fixed.status == "diverged"
+        assert rep.fixed.iterations == 0
         assert any("necessary condition" in msg for msg in rep.messages)
         # the proof runs once; analyze reads its outcome from the result
         assert len(calls) == 1
@@ -732,7 +732,7 @@ class TestAnalyze:
                             Q=np.diag([0.0, 1.0]), R=[[1.0]], x0_mean=[0.0, 0.0],
                             P0=np.eye(2))
         rep = analyze(MareProblem(system=sysm, info_rates=[0.5]))
-        assert rep.status == "diverged" and rep.iterations > 0
+        assert rep.fixed.status == "diverged" and rep.fixed.iterations > 0
         assert not rep.necessary.ok
         assert not any("necessary condition" in msg for msg in rep.messages)
 

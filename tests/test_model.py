@@ -14,6 +14,8 @@ from schedkf import (
     validate,
     whiten,
 )
+from schedkf._linalg import psd_factor
+from schedkf.model import _krylov_rank
 
 
 def example_system() -> LinearSystem:
@@ -83,6 +85,43 @@ class TestConstruction:
             LinearSystem.from_dict({"A": [[1.0]]})
 
 
+@hst.composite
+def padded_systems(draw):
+    """A core block (Q > 0, C sees every state) padded with p_u modes Q
+    leaves unexcited and p_o modes C leaves unseen, in a random state
+    order.  Returns the system, n - p_u and n - p_o: the dimensions of
+    its controllable and observable subspaces."""
+    core = draw(hst.integers(1, 3))
+    p_u = draw(hst.integers(0, 2))
+    p_o = draw(hst.integers(0, 2))
+    extra = draw(hst.integers(0, 2))
+    rng = np.random.default_rng(draw(hst.integers(0, 2**32 - 1)))
+    sizes = (core, p_u, p_o)
+    n = sum(sizes)
+    A = np.zeros((n, n))
+    Q = np.zeros((n, n))
+    lo = 0
+    for block, size in enumerate(sizes):
+        hi = lo + size
+        if size:
+            B = rng.standard_normal((size, size))
+            A[lo:hi, lo:hi] = B * rng.uniform(0.3, 1.2) / max(
+                np.max(np.abs(np.linalg.eigvals(B))), 1e-12)
+        if size and block != 1:  # the uncontrollable block gets no noise
+            G = rng.standard_normal((size, size))
+            Q[lo:hi, lo:hi] = G @ G.T / size + 0.1 * np.eye(size)
+        lo = hi
+    seen = core + p_u  # C is blind to the last p_o states
+    C = np.zeros((seen + extra, n))
+    C[:seen, :seen] = np.eye(seen)
+    C[seen:, :seen] = rng.standard_normal((extra, seen))
+    order = rng.permutation(n)
+    A, Q, C = A[np.ix_(order, order)], Q[np.ix_(order, order)], C[:, order]
+    sysm = LinearSystem(A=A, C=C, Q=0.5 * (Q + Q.T), R=np.eye(len(C)),
+                        x0_mean=np.zeros(n), P0=np.eye(n))
+    return sysm, n - p_u, n - p_o
+
+
 class TestValidate:
     def test_worked_example_passes_all(self):
         rep = validate(example_system())
@@ -105,6 +144,53 @@ class TestValidate:
         assert np.linalg.matrix_rank(stacked) == 1
         rep = validate(sysm)
         assert not rep.observable
+
+    @settings(max_examples=80, deadline=None)
+    @given(case=padded_systems())
+    def test_krylov_rank_matches_matrix_rank(self, case):
+        # oracle: numpy's matrix_rank of the Krylov matrices built the
+        # textbook way, from Q's symmetric square root and from C A^k
+        sysm, reachable, observed = case
+        n = sysm.n
+        w, U = np.linalg.eigh(sysm.Q)
+        root = (U * np.sqrt(np.clip(w, 0.0, None))) @ U.T
+        powers = [np.linalg.matrix_power(sysm.A, k) for k in range(n)]
+        ctrb = np.linalg.matrix_rank(np.hstack([Ak @ root for Ak in powers]))
+        obsv = np.linalg.matrix_rank(np.vstack([sysm.C @ Ak for Ak in powers]))
+        fragile: list = []
+        ranks = (_krylov_rank(sysm.A, psd_factor(sysm.Q), fragile, "c"),
+                 _krylov_rank(sysm.A.T, sysm.C.T, fragile, "o"))
+        # matrix_rank's cutoff is at most 7x _krylov_rank's here, inside
+        # the 10x band that _krylov_rank reports as fragile
+        if not fragile:
+            assert ranks == (ctrb, obsv)
+        assert obsv == observed
+        # a square root turns an eigenvalue round-off eps of Q's null space
+        # into a singular value sqrt(eps) ~ 1e-9, past any rank cutoff, so
+        # an unexcited mode can count as reachable, never the reverse
+        assert ctrb >= reachable
+        rep = validate(sysm)
+        assert (rep.controllable, rep.observable) == (ranks[0] == n, ranks[1] == n)
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=hst.integers(1, 4), data=hst.data())
+    def test_q_definite_decided_at_construction(self, n, data):
+        # Q = G G' with G n x r, singular whenever r < n
+        r = data.draw(hst.integers(0, n))
+        rng = np.random.default_rng(data.draw(hst.integers(0, 2**32 - 1)))
+        G = rng.standard_normal((n, r))
+        Q = G @ G.T
+        Q = 0.5 * (Q + Q.T)
+        sysm = LinearSystem(A=np.eye(n), C=np.ones((1, n)), Q=Q, R=[[1.0]],
+                            x0_mean=np.zeros(n), P0=np.eye(n))
+        assert sysm._q_definite == (np.linalg.eigvalsh(Q)[0] > 0.0)
+
+    @pytest.mark.parametrize("Q, definite", [
+        (np.eye(2), True), (np.diag([0.0, 1.0]), False), (np.zeros((2, 2)), False)])
+    def test_q_definite_cases(self, Q, definite):
+        sysm = LinearSystem(A=np.eye(2), C=[[1.0, 0.0]], Q=Q, R=[[1.0]],
+                            x0_mean=[0.0, 0.0], P0=np.eye(2))
+        assert sysm._q_definite is definite
 
     def test_non_diagonal_r_flagged(self):
         sysm = LinearSystem(A=[[1.0]], C=[[1.0], [1.0]], Q=[[1.0]],
