@@ -280,11 +280,12 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="schedkf",
         description="Power-scheduled sequential Kalman filtering experiments",
-        epilog=f"simulate steps its trials in fixed blocks of {_BLOCK} and folds "
-               "each step into running sums as it is computed, so memory "
-               "holds one block's noise and one step of its state and does "
-               "not grow with --trials; results depend only on the config "
-               "and the seed.",
+        epilog=f"simulate steps its trials in fixed blocks of {_BLOCK}, one "
+               "per usable core, and reduces each step to per-step sums as "
+               "it is computed, so each process holds one block's noise and "
+               "one step of its state and memory does not grow with "
+               "--trials; results depend only on the config and the seed, "
+               "not on the core count.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._linalg import PSD_RTOL, psd_factor, sym
+from ._linalg import PSD_RTOL, sym
 
 __all__ = ["LinearSystem", "ValidationReport", "validate", "whiten"]
 
@@ -190,14 +190,18 @@ def _krylov_rank(A: np.ndarray, B: np.ndarray, messages: list, label: str) -> in
 
 
 def validate(sys: LinearSystem) -> ValidationReport:
-    """Rank-test controllability of (A, sqrt(Q)), through any factor of Q
-    (M M' = sum_k A^k Q A^k' fixes the singular values), and observability
-    of (C, A) through (A', C'), and check that R is diagonal."""
+    """Rank-test controllability of (A, sqrt(Q)) and observability of
+    (C, A) through (A', C'), and check that R is diagonal.
+
+    Controllability is rank-tested on the Krylov matrix of Q itself,
+    which has the range of any square root's: Q's round-off, ~eps |Q|,
+    stays below the rank cutoff, where a square root would turn it into
+    a singular value ~sqrt(eps) |Q|^(1/2) and count an unexcited mode as
+    reachable."""
     n = sys.n
     messages: list = []
 
-    controllable = _krylov_rank(sys.A, psd_factor(sys.Q), messages,
-                                "controllability") == n
+    controllable = _krylov_rank(sys.A, sys.Q, messages, "controllability") == n
     if not controllable:
         messages.append("(A, sqrt(Q)) is not controllable")
 

@@ -5,8 +5,9 @@ channel, and the remote estimator for a fixed horizon.  Trials are
 vectorized: ``_run_batch`` steps a block of trials with batched array
 operations and yields each step's state of the trials still live there
 (it retires a trial where it truncates), and ``monte_carlo`` runs fixed
-blocks of ``_BLOCK`` trials, folding every step into running per-step
-aggregates as it comes.  Only a block's noise has a horizon axis, which
+blocks of ``_BLOCK`` trials on every usable core, reducing every step of
+a block to per-step partials as it comes and merging the blocks'
+partials in block order.  Only a block's noise has a horizon axis, which
 keeps tens of thousands of trials affordable in time and memory while
 preserving per-trial reproducibility.
 
@@ -41,14 +42,19 @@ trial indices go to trial seeds, and those to PCG64's seed words, each in
 one vectorized ``SeedSequence`` call (``channel._trial_seeds``,
 ``channel._hashed_seeds``).  ``simulate_trial`` hands it its int seed and
 stacks the steps of the same engine with a batch of one.
-Every row of a batch is computed as it would be alone, and the block
-size is a constant, so the summary depends only on the config and the
-master seed.
+Every row of a batch is computed as it would be alone, the block size
+is a constant, and blocks merge in block order wherever they ran, so the
+summary depends only on the config and the master seed, not on the core
+count.
 """
 
 from __future__ import annotations
 
+import collections
+import contextlib
+import itertools
 import math
+import os
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -278,15 +284,44 @@ def _nanmean_or_nan(arr: np.ndarray) -> float:
 _BLOCK = 1024
 
 
-class _Totals:
-    """Running per-step aggregates, folded in one step of one block at a
-    time.
+def _block_partials(sys: LinearSystem, cfg: SchedulerConfig, horizon: int,
+                    master_seed: int, lo: int, hi: int):
+    """Run trials lo..hi-1 as one ``_run_batch`` block and reduce each
+    step k it yields to row k of ``(n_b, mean_b, M2_b, outer_b)`` and row
+    k - 1 of ``high_b``: the block's live row count, its covariance mean
+    and sum of squared deviations, its sum of e e', and its high-power
+    counts per component.  The arrays end at the block's last step."""
+    K, n, m = horizon, sys.n, sys.m
+    count = np.zeros(K + 1, dtype=np.int64)
+    mean = np.empty((K + 1, n, n))
+    m2 = np.empty((K + 1, n, n))
+    outer = np.empty((K + 1, n, n))
+    high_count = np.empty((K, m), dtype=np.int64)
+    steps = 0
+    seeds = _hashed_seeds(_trial_seeds(master_seed, lo, hi))
+    for k, e, P, high, _, _ in _run_batch(sys, cfg, horizon, seeds):
+        n_b = P.shape[0]
+        mean_b = P.sum(axis=0) / n_b
+        dev = P - mean_b
+        count[k] = n_b
+        mean[k] = mean_b
+        m2[k] = np.einsum("tij,tij->ij", dev, dev)
+        outer[k] = np.einsum("ti,tj->ij", e, e)
+        if k:
+            high_count[k - 1] = high.sum(axis=0)
+        steps = k + 1
+    return (count[:steps], mean[:steps], m2[:steps], outer[:steps],
+            high_count[:max(steps - 1, 0)])
 
-    At each step the covariance mean and sum of squared deviations M2 of
-    the block's live rows take two passes; they then merge into the
-    running ones with the pairwise update of Chan, Golub & LeVeque (The
-    American Statistician 37(3), 1983), which extends Welford's online
-    variance (Technometrics 4(3), 1962):
+
+class _Totals:
+    """Running per-step aggregates, merged in one block at a time.
+
+    At each step a block's covariance mean and sum of squared deviations
+    M2 (``_block_partials``) merge into the running ones with the
+    pairwise update of Chan, Golub & LeVeque (The American Statistician
+    37(3), 1983), which extends Welford's online variance (Technometrics
+    4(3), 1962):
 
         delta = mean_b - mean,  mean += delta n_b / n,
         M2 += M2_b + delta^2 n_a n_b / n,   n = n_a + n_b.
@@ -303,22 +338,20 @@ class _Totals:
         self.outer = np.zeros((K + 1, n, n))
         self.high = np.zeros((K, m), dtype=np.int64)
 
-    def fold(self, k: int, e: np.ndarray, P: np.ndarray, high) -> None:
-        """Fold in step k of one ``_run_batch`` block."""
-        n_b = P.shape[0]
-        mean_b = P.sum(axis=0) / n_b
-        dev = P - mean_b
-        n_a = self.count[k]
+    def merge(self, partials) -> None:
+        """Merge one block's ``_block_partials``.  Merged in block order,
+        the totals do not depend on where the blocks ran."""
+        n_b, mean_b, m2_b, outer_b, high_b = partials
+        steps = len(n_b)
+        n_a = self.count[:steps]
         n_ab = n_a + n_b
-        w = n_b / n_ab
-        delta = mean_b - self.mean_P[k]
-        self.mean_P[k] += delta * w
-        self.m2_P[k] += (np.einsum("tij,tij->ij", dev, dev)
-                         + delta * delta * (n_a * w))
-        self.count[k] = n_ab
-        self.outer[k] += np.einsum("ti,tj->ij", e, e)
-        if k:
-            self.high[k - 1] += high.sum(axis=0)
+        w = (n_b / n_ab)[:, None, None]
+        delta = mean_b - self.mean_P[:steps]
+        self.mean_P[:steps] += delta * w
+        self.m2_P[:steps] += m2_b + delta * delta * (n_a[:, None, None] * w)
+        self.count[:steps] = n_ab
+        self.outer[:steps] += outer_b
+        self.high[:len(high_b)] += high_b
 
     def summary(self, cfg: SchedulerConfig, horizon: int, trials: int,
                 master_seed: int) -> MonteCarloSummary:
@@ -346,6 +379,58 @@ class _Totals:
         )
 
 
+def _usable_cores() -> int:
+    """Cores this process may run on: its CPU affinity where the platform
+    has one (so ``taskset`` limits it), else the machine's count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _partials_in_order(sys: LinearSystem, cfg: SchedulerConfig, horizon: int,
+                       trials: int, master_seed: int):
+    """Yield every block's ``_block_partials``, in block order.
+
+    The blocks run in a fork pool of one worker per usable core, at most
+    one per block, with at most workers + 1 blocks submitted and not yet
+    merged, so the caller's memory does not grow with ``trials``.  They
+    run in this process instead when there is one block or one usable
+    core, where ``fork`` is not available, or in a daemonic process,
+    which may not start children.  The pool is terminated if anything
+    raises, a worker's exception included, and joined on every exit.
+    """
+    starts = range(0, trials, _BLOCK)
+    tasks = ((sys, cfg, horizon, master_seed, lo, min(lo + _BLOCK, trials))
+             for lo in starts)
+    workers = min(len(starts), _usable_cores())
+    if workers > 1:
+        # imported here: it adds about 20 ms to ``import schedkf``
+        import multiprocessing
+        if ("fork" not in multiprocessing.get_all_start_methods()
+                or multiprocessing.current_process().daemon):
+            workers = 1
+    if workers == 1:
+        yield from itertools.starmap(_block_partials, tasks)
+        return
+    # fork, not spawn: a worker starts from the caller's imports at no cost
+    pool = multiprocessing.get_context("fork").Pool(workers)
+    try:
+        pending = collections.deque(
+            pool.apply_async(_block_partials, task)
+            for task in itertools.islice(tasks, workers + 1))
+        while pending:
+            yield pending.popleft().get()
+            pending.extend(pool.apply_async(_block_partials, task)
+                           for task in itertools.islice(tasks, 1))
+    except BaseException:
+        pool.terminate()
+        raise
+    else:
+        pool.close()
+    finally:
+        pool.join()
+
+
 def monte_carlo(sys: LinearSystem, cfg: SchedulerConfig, horizon: int,
                 trials: int, master_seed: int) -> MonteCarloSummary:
     """Aggregate ``trials`` independent closed-loop runs.
@@ -354,24 +439,34 @@ def monte_carlo(sys: LinearSystem, cfg: SchedulerConfig, horizon: int,
     t)``, so the summary is reproducible bit for bit, and a trial stops
     counting where ``_run_batch`` retires it.  Trials run in fixed
     blocks of ``_BLOCK``, in trial order; each block derives its own trial
-    seeds from its index range as it starts, and each step of a block
-    folds into running per-step aggregates as soon as it is computed.
-    Only the block's seeds and noise and one step of its state are ever
-    in memory, so peak memory is set by the block size, not by the trial
-    count or by a trials x horizon array of results.
+    seeds from its index range as it starts and reduces each of its steps
+    to per-step partials as soon as it is computed.  Only the block's
+    seeds and noise and one step of its state are ever in memory, so a
+    block's peak memory is set by the block size, not by the trial count
+    or by a trials x horizon array of results.
+
+    The blocks run on every usable core (``_partials_in_order``), each
+    core holding one block; their partials merge in block order, so the
+    summary does not depend on the core count, bit for bit.  What a block
+    raises before its first draw (a negative seed, a slot-count mismatch,
+    a correlated R) is raised here, before any worker starts.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
+    # A block of no trials raises what every block raises before its
+    # first draw.
+    next(_run_batch(sys, cfg, horizon, _trial_seeds(master_seed, 0, 0)), None)
 
     totals = _Totals(horizon, sys.n, sys.m)
-    for lo in range(0, trials, _BLOCK):
-        seeds = _hashed_seeds(_trial_seeds(master_seed, lo, min(lo + _BLOCK, trials)))
-        for k, e, P, high, _, _ in _run_batch(sys, cfg, horizon, seeds):
-            totals.fold(k, e, P, high)
-        # Let the block's last step go before the next block draws noise.
-        e = P = high = None
+    # closed on any exit, so that an error here terminates the pool at once
+    with contextlib.closing(_partials_in_order(sys, cfg, horizon, trials,
+                                               master_seed)) as blocks:
+        for partials in blocks:
+            totals.merge(partials)
+            # Let the block's partials go before the next block runs.
+            del partials
     return totals.summary(cfg, horizon, trials, master_seed)
 
 

@@ -14,7 +14,6 @@ from schedkf import (
     validate,
     whiten,
 )
-from schedkf._linalg import psd_factor
 from schedkf.model import _krylov_rank
 
 
@@ -149,28 +148,43 @@ class TestValidate:
     @given(case=padded_systems())
     def test_krylov_rank_matches_matrix_rank(self, case):
         # oracle: numpy's matrix_rank of the Krylov matrices built the
-        # textbook way, from Q's symmetric square root and from C A^k
+        # textbook way, [Q, AQ, ...] (the range of [sqrt(Q), A sqrt(Q), ...])
+        # and C A^k
         sysm, reachable, observed = case
         n = sysm.n
-        w, U = np.linalg.eigh(sysm.Q)
-        root = (U * np.sqrt(np.clip(w, 0.0, None))) @ U.T
         powers = [np.linalg.matrix_power(sysm.A, k) for k in range(n)]
-        ctrb = np.linalg.matrix_rank(np.hstack([Ak @ root for Ak in powers]))
+        ctrb = np.linalg.matrix_rank(np.hstack([Ak @ sysm.Q for Ak in powers]))
         obsv = np.linalg.matrix_rank(np.vstack([sysm.C @ Ak for Ak in powers]))
         fragile: list = []
-        ranks = (_krylov_rank(sysm.A, psd_factor(sysm.Q), fragile, "c"),
+        ranks = (_krylov_rank(sysm.A, sysm.Q, fragile, "c"),
                  _krylov_rank(sysm.A.T, sysm.C.T, fragile, "o"))
         # matrix_rank's cutoff is at most 7x _krylov_rank's here, inside
         # the 10x band that _krylov_rank reports as fragile
         if not fragile:
             assert ranks == (ctrb, obsv)
-        assert obsv == observed
-        # a square root turns an eigenvalue round-off eps of Q's null space
-        # into a singular value sqrt(eps) ~ 1e-9, past any rank cutoff, so
-        # an unexcited mode can count as reachable, never the reverse
-        assert ctrb >= reachable
+        assert (ctrb, obsv) == (reachable, observed)
         rep = validate(sysm)
         assert (rep.controllable, rep.observable) == (ranks[0] == n, ranks[1] == n)
+
+    def test_unexcited_decoupled_mode_is_uncontrollable(self):
+        # state 2 is decoupled from the others and Q leaves it unexcited,
+        # yet eigvalsh(Q)[0] is 2e-17: a square root of Q would turn that
+        # into a singular value ~5e-9, far past the rank cutoff
+        A = [[0.09326217, 0.0, 0.47504254, -0.09799065],
+             [0.0, 0.3254877, 0.0, 0.0],
+             [0.96726043, 0.0, -0.52200554, 0.70251067],
+             [0.07781114, 0.0, 0.26821823, -0.39734032]]
+        core = np.array([[2.03198233, -0.21030078, 0.59580763],
+                         [-0.21030078, 0.28856778, 0.07057918],
+                         [0.59580763, 0.07057918, 0.81212645]])
+        Q = np.zeros((4, 4))
+        Q[np.ix_([0, 2, 3], [0, 2, 3])] = core
+        sysm = LinearSystem(A=A, C=np.eye(4), Q=Q, R=np.eye(4),
+                            x0_mean=np.zeros(4), P0=np.eye(4))
+        assert _krylov_rank(sysm.A, sysm.Q, [], "c") == 3
+        rep = validate(sysm)
+        assert not rep.controllable and rep.observable
+        assert "(A, sqrt(Q)) is not controllable" in rep.messages
 
     @settings(max_examples=60, deadline=None)
     @given(n=hst.integers(1, 4), data=hst.data())

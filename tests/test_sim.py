@@ -2,6 +2,8 @@
 Monte Carlo summary, and the sandwich."""
 
 import dataclasses
+import multiprocessing
+import multiprocessing.pool
 import tracemalloc
 import warnings
 
@@ -54,6 +56,8 @@ OP_LEVEL_SYSTEM = LinearSystem(A=[[0.9, 0.1], [0.0, 0.8]],
                                P0=np.eye(2))
 OP_LEVEL_CFG = SchedulerConfig(thresholds=[0.8, 1.5], arrival_prob=0.4)
 DENSE_N3_M2 = random_observable_system(np.random.default_rng(7), 3, 2)
+UNSTABLE_N3_M2 = random_observable_system(np.random.default_rng(5), 3, 2,
+                                          spectral_radius=3.0)
 
 
 @hst.composite
@@ -147,6 +151,8 @@ class TestDeterminism:
 
 SUMMARY_FIELDS = ("mean_P", "se_P", "empirical_cov", "energy_per_step",
                   "high_rate_per_step", "high_power_rate")
+# every summary field that a change of core count must leave bit-identical
+BIT_FIELDS = SUMMARY_FIELDS + ("mean_energy_per_step", "truncated_trials")
 
 
 def full_array_summary(records):
@@ -183,9 +189,7 @@ class TestStreamedSummary:
     @pytest.mark.parametrize("sysm, horizon", [
         pytest.param(FAST, 40, id="40"),
         pytest.param(FAST, 60, id="60"),
-        pytest.param(random_observable_system(np.random.default_rng(5), 3, 2,
-                                              spectral_radius=3.0),
-                     40, id="dense-n3-m2"),
+        pytest.param(UNSTABLE_N3_M2, 40, id="dense-n3-m2"),
     ])
     def test_matches_full_array_oracle(self, monkeypatch, sysm, horizon):
         trials, block = 37, 8
@@ -221,24 +225,69 @@ class TestStreamedSummary:
             assert np.isnan(summ.mean_P[-1]).all()
             assert np.isnan(summ.se_P[-1]).all()
 
+    @pytest.mark.parametrize("sysm, cfg, horizon", [
+        pytest.param(FAST, CFG, 40, id="40"),
+        pytest.param(FAST, CFG, 60, id="60"),
+        pytest.param(UNSTABLE_N3_M2, CFG, 40, id="dense-n3-m2"),
+        pytest.param(OVERFLOWING, CFG, 20, id="overflowing"),
+        pytest.param(DENSE_N3_M2, OP_LEVEL_CFG, 40, id="stable-dense-n3-m2"),
+    ])
+    def test_core_count_does_not_change_results(self, monkeypatch, sysm, cfg,
+                                                 horizon):
+        # five blocks of 8 run in one process, or in a pool of 2 or 3
+        # workers; the summary is the same bit for bit
+        trials = 37
+        monkeypatch.setattr(sim, "_BLOCK", 8)
+        summaries = []
+        for cores in (1, 2, 3):
+            monkeypatch.setattr(sim, "_usable_cores", lambda cores=cores: cores)
+            summaries.append(monte_carlo(sysm, cfg, horizon, trials=trials,
+                                         master_seed=4))
+        want = full_array_summary(trial_records(sysm, cfg, horizon, trials, 4))
+        for summ in summaries[1:]:
+            for key in BIT_FIELDS:
+                assert np.array_equal(getattr(summ, key), getattr(summaries[0], key),
+                                      equal_nan=True), key
+        for key in SUMMARY_FIELDS:
+            np.testing.assert_allclose(getattr(summaries[0], key), want[key],
+                                       rtol=1e-13, atol=0.0, equal_nan=True,
+                                       err_msg=key)
+
+    @staticmethod
+    def op_level_peak(trials):
+        """The caller's traced peak over one ``monte_carlo`` call."""
+        tracemalloc.start()
+        try:
+            monte_carlo(OP_LEVEL_SYSTEM, OP_LEVEL_CFG, 100, trials=trials,
+                        master_seed=9)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # The two peak tests below compare a call of one block with a call of
+    # many; a pool runs only the second, so both are pinned to one core.
     def test_peak_memory_is_set_by_the_block(self, monkeypatch):
         monkeypatch.setattr(sim, "_BLOCK", 64)
+        monkeypatch.setattr(sim, "_usable_cores", lambda: 1)
+        assert self.op_level_peak(16 * 64) <= 1.15 * self.op_level_peak(64)
 
-        def peak(trials):
-            tracemalloc.start()
-            try:
-                monte_carlo(OP_LEVEL_SYSTEM, OP_LEVEL_CFG, 100, trials=trials,
-                            master_seed=9)
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-
-        assert peak(16 * 64) <= 1.15 * peak(64)
+    def test_pool_caller_peak_is_set_by_the_window(self, monkeypatch):
+        # with 2 workers at most 3 blocks are in flight; both trial counts
+        # fill that window, so the caller's peak must not grow with the
+        # blocks.  How many finished blocks wait for the caller at once
+        # depends on timing, so the smaller count takes its highest peak
+        # of three calls, about as many block merges as the larger one.
+        monkeypatch.setattr(sim, "_BLOCK", 64)
+        monkeypatch.setattr(sim, "_usable_cores", lambda: 2)
+        self.op_level_peak(3 * 64)  # the pool's one-time allocations
+        few = max(self.op_level_peak(16 * 64) for _ in range(3))
+        assert self.op_level_peak(64 * 64) <= 1.15 * few
 
     def test_peak_memory_does_not_grow_with_trials(self, monkeypatch):
         # with tiny blocks, anything kept per trial (such as a list of
         # every trial's seed) would dominate the peak
         monkeypatch.setattr(sim, "_BLOCK", 8)
+        monkeypatch.setattr(sim, "_usable_cores", lambda: 1)
         # fill the interpreter's bounded tuple freelists first: tuples
         # parked there stay allocated, and tracemalloc would count them
         filler = [tuple(range(size)) for size in range(1, 21) for _ in range(2000)]
@@ -278,6 +327,74 @@ class TestStreamedSummary:
                 tracemalloc.stop()
             assert summ.truncated_trials == truncated
             assert peak <= 2.5 * noise_bytes
+
+
+class TestBlockPool:
+    """The fork pool that runs the blocks on the usable cores."""
+
+    @pytest.mark.parametrize("sysm, cfg, seed, message", [
+        (EXAMPLE, SchedulerConfig(thresholds=[1.0], arrival_prob=0.5), 1,
+         "scheduler has 1 thresholds"),
+        (dataclasses.replace(EXAMPLE, R=[[1.0, 0.5], [0.5, 1.0]]), example_cfg(), 1,
+         "R must be diagonal"),
+        (EXAMPLE, example_cfg(), -1, "expected non-negative integer"),
+    ], ids=["slot-count", "correlated-R", "negative-seed"])
+    def test_pre_draw_errors_raised_before_any_worker_starts(
+            self, monkeypatch, sysm, cfg, seed, message):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a pool started for an invalid experiment")
+
+        monkeypatch.setattr(sim, "_BLOCK", 8)
+        monkeypatch.setattr(sim, "_usable_cores", lambda: 2)
+        monkeypatch.setattr(multiprocessing.get_context("fork"), "Pool", no_pool)
+        with pytest.raises(ValueError, match=message) as raised:
+            monte_carlo(sysm, cfg, 10, trials=40, master_seed=seed)
+        # the type and message a block itself raises
+        with pytest.raises(ValueError) as alone:
+            sim._block_partials(sysm, cfg, 10, seed, 0, 8)
+        assert str(raised.value) == str(alone.value)
+
+    def test_worker_exception_reaches_caller(self, monkeypatch):
+        # block 2 (trials 16..23) fails in a worker; its exception ends the
+        # call and terminates the pool, and the fixture in conftest.py
+        # checks that no worker is left
+        terminated = []
+        terminate = multiprocessing.pool.Pool.terminate
+
+        def counted(pool):
+            terminated.append(pool)
+            terminate(pool)
+
+        monkeypatch.setattr(multiprocessing.pool.Pool, "terminate", counted)
+        real = sim._run_batch
+        block_2 = _hashed_seeds(_trial_seeds(4, 16, 17))[0].words
+
+        def failing(sysm, cfg, horizon, seeds):
+            if len(seeds) and np.array_equal(seeds[0].words, block_2):
+                raise RuntimeError("block 2 failed")
+            return real(sysm, cfg, horizon, seeds)
+
+        monkeypatch.setattr(sim, "_BLOCK", 8)
+        monkeypatch.setattr(sim, "_usable_cores", lambda: 2)
+        monkeypatch.setattr(sim, "_run_batch", failing)
+        with pytest.raises(RuntimeError, match="block 2 failed"):
+            monte_carlo(EXAMPLE, example_cfg(), 10, trials=64, master_seed=4)
+        assert len(terminated) == 1
+
+    def test_daemonic_caller_runs_in_process(self, monkeypatch):
+        # a pool worker may not start children, so there monte_carlo runs
+        # its blocks in-process, to the same bits
+        monkeypatch.setattr(sim, "_BLOCK", 8)
+        monkeypatch.setattr(sim, "_usable_cores", lambda: 2)
+        args = (EXAMPLE, example_cfg(), 20, 40, 3)
+        with multiprocessing.get_context("fork").Pool(1) as pool:
+            inside = pool.apply(monte_carlo, args)
+            pool.close()
+            pool.join()
+        here = monte_carlo(*args)
+        for key in BIT_FIELDS:
+            assert np.array_equal(getattr(inside, key), getattr(here, key),
+                                  equal_nan=True), key
 
 
 class TestEngineConsistency:
