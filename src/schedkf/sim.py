@@ -5,9 +5,10 @@ channel, and the remote estimator for a fixed horizon.  Trials are
 vectorized: ``_run_batch`` steps a block of trials with batched array
 operations and yields each step's state of the trials still live there
 (it retires a trial where it truncates), and ``monte_carlo`` runs fixed
-blocks of ``_BLOCK`` trials on every usable core, reducing every step of
-a block to per-step partials as it comes and merging the blocks'
-partials in block order.  Only a block's noise has a horizon axis, which
+blocks of ``_BLOCK`` trials on every usable core (``Pool.imap`` in a
+fork pool, or ``map`` in this process), reducing every step of a block
+to per-step partials as it comes and merging the blocks' partials in
+block order.  Only a block's noise has a horizon axis, which
 keeps tens of thousands of trials affordable in time and memory while
 preserving per-trial reproducibility.
 
@@ -50,9 +51,8 @@ count.
 
 from __future__ import annotations
 
-import collections
 import contextlib
-import itertools
+import functools
 import math
 import os
 from dataclasses import dataclass
@@ -285,12 +285,13 @@ _BLOCK = 1024
 
 
 def _block_partials(sys: LinearSystem, cfg: SchedulerConfig, horizon: int,
-                    master_seed: int, lo: int, hi: int):
-    """Run trials lo..hi-1 as one ``_run_batch`` block and reduce each
-    step k it yields to row k of ``(n_b, mean_b, M2_b, outer_b)`` and row
-    k - 1 of ``high_b``: the block's live row count, its covariance mean
-    and sum of squared deviations, its sum of e e', and its high-power
-    counts per component.  The arrays end at the block's last step."""
+                    master_seed: int, block: range):
+    """Run the trials in the index range ``block`` as one ``_run_batch``
+    batch and reduce each step k it yields to row k of ``(n_b, mean_b,
+    M2_b, outer_b)`` and row k - 1 of ``high_b``: the block's live row
+    count, its covariance mean and sum of squared deviations, its sum of
+    e e', and its high-power counts per component.  The arrays end at the
+    block's last step."""
     K, n, m = horizon, sys.n, sys.m
     count = np.zeros(K + 1, dtype=np.int64)
     mean = np.empty((K + 1, n, n))
@@ -298,7 +299,7 @@ def _block_partials(sys: LinearSystem, cfg: SchedulerConfig, horizon: int,
     outer = np.empty((K + 1, n, n))
     high_count = np.empty((K, m), dtype=np.int64)
     steps = 0
-    seeds = _hashed_seeds(_trial_seeds(master_seed, lo, hi))
+    seeds = _hashed_seeds(_trial_seeds(master_seed, block.start, block.stop))
     for k, e, P, high, _, _ in _run_batch(sys, cfg, horizon, seeds):
         n_b = P.shape[0]
         mean_b = P.sum(axis=0) / n_b
@@ -387,48 +388,21 @@ def _usable_cores() -> int:
     return os.cpu_count() or 1
 
 
-def _partials_in_order(sys: LinearSystem, cfg: SchedulerConfig, horizon: int,
-                       trials: int, master_seed: int):
-    """Yield every block's ``_block_partials``, in block order.
-
-    The blocks run in a fork pool of one worker per usable core, at most
-    one per block, with at most workers + 1 blocks submitted and not yet
-    merged, so the caller's memory does not grow with ``trials``.  They
-    run in this process instead when there is one block or one usable
-    core, where ``fork`` is not available, or in a daemonic process,
-    which may not start children.  The pool is terminated if anything
-    raises, a worker's exception included, and joined on every exit.
-    """
-    starts = range(0, trials, _BLOCK)
-    tasks = ((sys, cfg, horizon, master_seed, lo, min(lo + _BLOCK, trials))
-             for lo in starts)
-    workers = min(len(starts), _usable_cores())
-    if workers > 1:
-        # imported here: it adds about 20 ms to ``import schedkf``
-        import multiprocessing
-        if ("fork" not in multiprocessing.get_all_start_methods()
-                or multiprocessing.current_process().daemon):
-            workers = 1
+def _fork_pool(blocks: int):
+    """A fork pool of one worker per usable core, at most one per block,
+    or None where the blocks run in this process: with one block or one
+    usable core, where ``fork`` is not available, or in a daemonic
+    process, which may not start children."""
+    workers = min(blocks, _usable_cores())
     if workers == 1:
-        yield from itertools.starmap(_block_partials, tasks)
-        return
+        return None
+    # imported here: it adds about 20 ms to ``import schedkf``
+    import multiprocessing
+    if ("fork" not in multiprocessing.get_all_start_methods()
+            or multiprocessing.current_process().daemon):
+        return None
     # fork, not spawn: a worker starts from the caller's imports at no cost
-    pool = multiprocessing.get_context("fork").Pool(workers)
-    try:
-        pending = collections.deque(
-            pool.apply_async(_block_partials, task)
-            for task in itertools.islice(tasks, workers + 1))
-        while pending:
-            yield pending.popleft().get()
-            pending.extend(pool.apply_async(_block_partials, task)
-                           for task in itertools.islice(tasks, 1))
-    except BaseException:
-        pool.terminate()
-        raise
-    else:
-        pool.close()
-    finally:
-        pool.join()
+    return multiprocessing.get_context("fork").Pool(workers)
 
 
 def monte_carlo(sys: LinearSystem, cfg: SchedulerConfig, horizon: int,
@@ -445,11 +419,14 @@ def monte_carlo(sys: LinearSystem, cfg: SchedulerConfig, horizon: int,
     block's peak memory is set by the block size, not by the trial count
     or by a trials x horizon array of results.
 
-    The blocks run on every usable core (``_partials_in_order``), each
-    core holding one block; their partials merge in block order, so the
-    summary does not depend on the core count, bit for bit.  What a block
-    raises before its first draw (a negative seed, a slot-count mismatch,
-    a correlated R) is raised here, before any worker starts.
+    The blocks run in a fork pool of one worker per usable core
+    (``_fork_pool``), or in this process with ``map`` where there is no
+    pool.  ``Pool.imap`` returns their partials in block order, and a
+    finished block's partials wait here only while an earlier block still
+    runs; they merge in block order, so the summary does not depend on
+    the core count, bit for bit.  What a block raises before its first
+    draw (a negative seed, a slot-count mismatch, a correlated R) is
+    raised here, before any worker starts.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -460,10 +437,14 @@ def monte_carlo(sys: LinearSystem, cfg: SchedulerConfig, horizon: int,
     next(_run_batch(sys, cfg, horizon, _trial_seeds(master_seed, 0, 0)), None)
 
     totals = _Totals(horizon, sys.n, sys.m)
-    # closed on any exit, so that an error here terminates the pool at once
-    with contextlib.closing(_partials_in_order(sys, cfg, horizon, trials,
-                                               master_seed)) as blocks:
-        for partials in blocks:
+    task = functools.partial(_block_partials, sys, cfg, horizon, master_seed)
+    starts = range(0, trials, _BLOCK)
+    blocks = (range(lo, min(lo + _BLOCK, trials)) for lo in starts)
+    pool = _fork_pool(len(starts))
+    # Leaving the pool terminates it and joins its workers, on success
+    # and on an error in a worker or here alike.
+    with pool or contextlib.nullcontext():
+        for partials in (pool.imap if pool else map)(task, blocks):
             totals.merge(partials)
             # Let the block's partials go before the next block runs.
             del partials

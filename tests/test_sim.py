@@ -2,8 +2,10 @@
 Monte Carlo summary, and the sandwich."""
 
 import dataclasses
+import itertools
 import multiprocessing
 import multiprocessing.pool
+import time
 import tracemalloc
 import warnings
 
@@ -225,19 +227,33 @@ class TestStreamedSummary:
             assert np.isnan(summ.mean_P[-1]).all()
             assert np.isnan(summ.se_P[-1]).all()
 
-    @pytest.mark.parametrize("sysm, cfg, horizon", [
-        pytest.param(FAST, CFG, 40, id="40"),
-        pytest.param(FAST, CFG, 60, id="60"),
-        pytest.param(UNSTABLE_N3_M2, CFG, 40, id="dense-n3-m2"),
-        pytest.param(OVERFLOWING, CFG, 20, id="overflowing"),
-        pytest.param(DENSE_N3_M2, OP_LEVEL_CFG, 40, id="stable-dense-n3-m2"),
+    @pytest.mark.parametrize("sysm, cfg, horizon, slow_block_0", [
+        pytest.param(FAST, CFG, 40, False, id="40"),
+        pytest.param(FAST, CFG, 60, False, id="60"),
+        pytest.param(UNSTABLE_N3_M2, CFG, 40, False, id="dense-n3-m2"),
+        pytest.param(OVERFLOWING, CFG, 20, False, id="overflowing"),
+        pytest.param(DENSE_N3_M2, OP_LEVEL_CFG, 40, False, id="stable-dense-n3-m2"),
+        pytest.param(DENSE_N3_M2, OP_LEVEL_CFG, 40, True,
+                     id="stable-dense-n3-m2-block-0-finishes-last"),
     ])
     def test_core_count_does_not_change_results(self, monkeypatch, sysm, cfg,
-                                                 horizon):
+                                                 horizon, slow_block_0):
         # five blocks of 8 run in one process, or in a pool of 2 or 3
-        # workers; the summary is the same bit for bit
+        # workers; the summary is the same bit for bit, also when block 0
+        # sleeps in its worker until the other blocks have finished
         trials = 37
         monkeypatch.setattr(sim, "_BLOCK", 8)
+        if slow_block_0:
+            real = sim._run_batch
+            block_0 = _hashed_seeds(_trial_seeds(4, 0, 1))[0].words
+
+            def slow(sysm, cfg, horizon, seeds):
+                if (multiprocessing.parent_process() is not None and len(seeds)
+                        and np.array_equal(seeds[0].words, block_0)):
+                    time.sleep(0.5)
+                return real(sysm, cfg, horizon, seeds)
+
+            monkeypatch.setattr(sim, "_run_batch", slow)
         summaries = []
         for cores in (1, 2, 3):
             monkeypatch.setattr(sim, "_usable_cores", lambda cores=cores: cores)
@@ -272,9 +288,9 @@ class TestStreamedSummary:
         assert self.op_level_peak(16 * 64) <= 1.15 * self.op_level_peak(64)
 
     def test_pool_caller_peak_is_set_by_the_window(self, monkeypatch):
-        # with 2 workers at most 3 blocks are in flight; both trial counts
-        # fill that window, so the caller's peak must not grow with the
-        # blocks.  How many finished blocks wait for the caller at once
+        # with 2 workers a finished block's partials wait for the caller
+        # only while an earlier block still runs, so the caller's peak must
+        # not grow with the blocks.  How many finished blocks wait at once
         # depends on timing, so the smaller count takes its highest peak
         # of three calls, about as many block merges as the larger one.
         monkeypatch.setattr(sim, "_BLOCK", 64)
@@ -332,6 +348,19 @@ class TestStreamedSummary:
 class TestBlockPool:
     """The fork pool that runs the blocks on the usable cores."""
 
+    @pytest.fixture
+    def terminations(self, monkeypatch):
+        """The pools whose ``terminate`` runs during the test, in order."""
+        terminated = []
+        terminate = multiprocessing.pool.Pool.terminate
+
+        def counted(pool):
+            terminated.append(pool)
+            terminate(pool)
+
+        monkeypatch.setattr(multiprocessing.pool.Pool, "terminate", counted)
+        return terminated
+
     @pytest.mark.parametrize("sysm, cfg, seed, message", [
         (EXAMPLE, SchedulerConfig(thresholds=[1.0], arrival_prob=0.5), 1,
          "scheduler has 1 thresholds"),
@@ -351,21 +380,13 @@ class TestBlockPool:
             monte_carlo(sysm, cfg, 10, trials=40, master_seed=seed)
         # the type and message a block itself raises
         with pytest.raises(ValueError) as alone:
-            sim._block_partials(sysm, cfg, 10, seed, 0, 8)
+            sim._block_partials(sysm, cfg, 10, seed, range(0, 8))
         assert str(raised.value) == str(alone.value)
 
-    def test_worker_exception_reaches_caller(self, monkeypatch):
+    def test_worker_exception_reaches_caller(self, monkeypatch, terminations):
         # block 2 (trials 16..23) fails in a worker; its exception ends the
         # call and terminates the pool, and the fixture in conftest.py
         # checks that no worker is left
-        terminated = []
-        terminate = multiprocessing.pool.Pool.terminate
-
-        def counted(pool):
-            terminated.append(pool)
-            terminate(pool)
-
-        monkeypatch.setattr(multiprocessing.pool.Pool, "terminate", counted)
         real = sim._run_batch
         block_2 = _hashed_seeds(_trial_seeds(4, 16, 17))[0].words
 
@@ -379,7 +400,26 @@ class TestBlockPool:
         monkeypatch.setattr(sim, "_run_batch", failing)
         with pytest.raises(RuntimeError, match="block 2 failed"):
             monte_carlo(EXAMPLE, example_cfg(), 10, trials=64, master_seed=4)
-        assert len(terminated) == 1
+        assert len(terminations) == 1
+
+    def test_caller_error_terminates_pool(self, monkeypatch, terminations):
+        # the caller's merge of block 1 fails with later blocks still in
+        # the pool; the error ends the call and terminates the pool
+        merge = sim._Totals.merge
+        calls = itertools.count(1)
+
+        def failing(totals, partials):
+            if next(calls) == 2:
+                raise RuntimeError("merge of block 1 failed")
+            merge(totals, partials)
+
+        monkeypatch.setattr(sim, "_BLOCK", 8)
+        monkeypatch.setattr(sim, "_usable_cores", lambda: 2)
+        monkeypatch.setattr(sim._Totals, "merge", failing)
+        with pytest.raises(RuntimeError, match="merge of block 1 failed"):
+            monte_carlo(EXAMPLE, example_cfg(), 10, trials=64, master_seed=4)
+        assert len(terminations) == 1
+        assert not multiprocessing.active_children()
 
     def test_daemonic_caller_runs_in_process(self, monkeypatch):
         # a pool worker may not start children, so there monte_carlo runs
