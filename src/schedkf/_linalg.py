@@ -1,7 +1,8 @@
 """Small symmetric-matrix helpers shared across the package: the one time
 update and the one weighted rank-one covariance update of the filter, the
-batched engine and the Riccati operator, and the PSD guard, which runs
-once per step."""
+batched engine and the Riccati operator, the PSD guard, which runs at
+most once per step, and the trace below which Q > 0 proves that guard
+idle in the engine (``guard_idle_trace``)."""
 
 from __future__ import annotations
 
@@ -82,6 +83,11 @@ def psd_floor(M: np.ndarray) -> np.ndarray:
     Repair.  When the factorization fails, the exact eigenvalue floor
     runs on the finite rows and rebuilds only those whose smallest
     eigenvalue lies in (-PSD_BAND, 0).
+
+    ``filter.step`` runs it at every step.  The engine runs it only on
+    steps after a row's stored trace has passed ``guard_idle_trace``: with
+    Q > 0 every covariance it stores is at least the all-delivered
+    posterior, so below that bound this function returns its input.
     """
     S = sym(M)
     n = S.shape[-1]
@@ -118,6 +124,74 @@ def _eigen_floor(S: np.ndarray) -> np.ndarray:
     fixed = flat.copy()
     fixed[rows] = sym((U * w[:, None, :]) @ np.swapaxes(U, 1, 2))
     return fixed.reshape(S.shape)
+
+
+# Safety factor on every round-off constant in ``guard_idle_trace``.
+_IDLE_SAFETY = 100.0
+
+
+def guard_idle_trace(A: np.ndarray, Q: np.ndarray, q_min: float,
+                     C: np.ndarray, r: np.ndarray) -> float:
+    """The trace t* below which one step of the sequential filter leaves
+    ``psd_floor`` idle: from a stored covariance P >= 0 with tr P <= t*,
+    the next stored covariance comes back from ``psd_floor`` bit for bit.
+    ``q_min`` is the computed smallest eigenvalue of Q and ``r`` the
+    diagonal of R.  Returns -inf where nothing is proved: Q singular
+    (q_min <= 0), a norm that overflows, or no trace that qualifies.
+
+    Lemma.  A step maps P to X_0 = A P A' + Q and then, for slots
+    i = 1..m, X_i = g_t(X_{i-1}) with g_t(X) = X - t Xcc'X / (c'Xc + r),
+    c = C[i], r = r[i] and t in [0, 1] (1 or ``drop_shrink``).  Then
+    g_t(X) >= g_1(X) = (X^-1 + cc'/r)^-1, and g_1 is monotone, so
+    X >= aI gives g_t(X) >= h(a) I with h(a) = 1 / (1/a + |c|^2/r).  From
+    X_0 >= Q >= lambda_min(Q) I the next P is at least mu I, with
+    mu = 1 / (1/lambda_min(Q) + sum_i |c_i|^2/r_i): a lower bound, free
+    of inverses, on lambda_min of the all-delivered posterior
+    P_min = (Q^-1 + sum_i c_i c_i'/r_i)^-1, whatever was delivered.
+
+    Round-off.  Let u be the unit round-off,
+    tau = |A|_F^2 tr P + tr Q and kappa = max_i |c_i|^2/r_i.  Every
+    iterate has norm and trace at most tau (tr(A P A') <= |A|_F^2 tr P,
+    and the slots only shrink X).  The standard bounds for sums, dot
+    products and matrix products (Higham, *Accuracy and Stability of
+    Numerical Algorithms*, ch. 3) give each stage a symmetric error of
+    norm at most delta = (2n + 6) u tau (1 + kappa tau); the kappa tau^2
+    part is the rank-one term's error, through |Pc| <= tau |c| and
+    s >= r.  delta also covers eigvalsh's error in q_min and a computed
+    ``drop_shrink`` a few ulps above 1.  As h' <= 1, an error at one stage
+    lowers every later bound by at most itself, so the stored P has
+    lambda_min >= mu - (m + 1) delta.
+
+    Certificate.  The stored P is exactly symmetric (``time_update``
+    symmetrizes and ``weighted_update`` keeps it so), so ``psd_floor``'s
+    S = sym(P) is P, and ``psd_floor`` changes a row only where the
+    row's computed smallest eigenvalue is negative (its Cholesky short
+    cut returns S unchanged).  ``eigvalsh`` is backward stable, so that
+    eigenvalue is at least lambda_min(S) - 2n(n + 1) u |S|.  Hence
+    S comes back unchanged whenever, with every constant taken
+    ``_IDLE_SAFETY`` times,
+
+        (m + 1) delta + 2n(n + 1) u tau < mu,
+
+    a quadratic in tau whose positive root tau_max gives
+    t* = (tau_max - tr Q) / |A|_F^2.  The P it certifies has
+    lambda_min > 0, so by induction from P0 > 0 a row whose stored traces
+    have all stayed <= t* never needs the guard.
+    """
+    if not q_min > 0.0:
+        return -np.inf
+    n, m = A.shape[0], C.shape[0]
+    u = 0.5 * np.finfo(float).eps
+    with np.errstate(all="ignore"):
+        a_sq = np.einsum("ij,ij->", A, A)  # |A|_F^2
+        kappas = np.einsum("ij,ij->i", C, C) / r
+        mu = 1.0 / (1.0 / q_min + kappas.sum())
+        lin = _IDLE_SAFETY * u * ((m + 1) * (2 * n + 6) + 2 * n * (n + 1))
+        quad = _IDLE_SAFETY * u * (m + 1) * (2 * n + 6) * kappas.max()
+        tau_max = 2.0 * mu / (lin + np.sqrt(lin * lin + 4.0 * quad * mu))
+        t_star = (tau_max - np.trace(Q)) / a_sq
+    # NaN (nothing finite) and the 0 of an overflowing |A|_F are not > 0
+    return float(t_star) if t_star > 0.0 else -np.inf
 
 
 def psd_factor(M: np.ndarray) -> np.ndarray:

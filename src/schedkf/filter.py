@@ -18,7 +18,7 @@ that the predicted conditional density is Gaussian.
 The time update and the correction are ``_linalg.time_update`` and
 ``_linalg.weighted_update``, shared with the engine and the Riccati
 operator; ``step`` computes each slot's terms once and runs the PSD floor
-once, after the slots.
+once, after the slots, at every step.
 """
 
 from __future__ import annotations
@@ -81,7 +81,10 @@ def step(state: FilterState, sys: LinearSystem, slots: Sequence[SlotUpdate],
          stats: Sequence[ComponentStats],
          ) -> tuple[FilterState, np.ndarray]:
     """Full filter cycle: x <- A x, P <- A P A' + Q, all m slot updates in
-    index order, then the PSD floor on the stored covariance.
+    index order, then the PSD floor on the stored covariance.  The floor
+    runs at every step: the engine skips it where Q > 0 and a trace bound
+    prove it idle from a stored covariance it made itself, but a caller's
+    ``state`` carries no such proof.
 
     Returns the new state and the (m,) normalized innovations
     (value - c x) / sqrt(c'Pc + r) at each slot's own prior, NaN where

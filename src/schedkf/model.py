@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._linalg import PSD_RTOL, sym
+from ._linalg import PSD_RTOL, guard_idle_trace, sym
 
 __all__ = ["LinearSystem", "ValidationReport", "validate", "whiten"]
 
@@ -104,6 +104,9 @@ class LinearSystem:
         object.__setattr__(self, "_r_diag", np.diag(R) if diagonal else None)
         # Decided once: Q > 0 (see ``mare._necessary_decides``).
         object.__setattr__(self, "_q_definite", q_min > 0.0)
+        # Decided once: the trace below which the engine's PSD guard is idle.
+        object.__setattr__(self, "_guard_idle_trace", guard_idle_trace(
+            A, Q, q_min, C, np.diag(R)) if diagonal else -np.inf)
 
     @property
     def n(self) -> int:

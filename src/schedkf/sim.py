@@ -21,9 +21,15 @@ measurement noise drops below the ulp of the state near step 190).
 
 Time and slot updates are ``_linalg.time_update`` and
 ``_linalg.weighted_update``, as in the scalar filter.
-The PSD guard ``_linalg.psd_floor`` runs once per step, on the stored
-covariance, as in ``filter.step``: one batched Cholesky certifies the
-stack, and the eigenvalue repair touches only round-off negative rows.
+The PSD guard ``_linalg.psd_floor`` runs at most once per step, on the
+stored covariance, as in ``filter.step``: one batched Cholesky certifies
+the stack, and the eigenvalue repair touches only round-off negative
+rows.  With Q > 0 every stored covariance is at least the all-delivered
+posterior (Q^-1 + sum_i c_i c_i'/r_i)^-1 > 0, whatever was delivered, so
+the guard runs only on the steps after some live row's stored trace has
+passed the bound, decided once per system, below which round-off cannot
+reach that margin (``_linalg.guard_idle_trace``); a singular Q gives no
+bound and the guard runs at every step.
 
 Randomness protocol (frozen; reordering it breaks reproducibility):
 trial t of a run with master seed s consumes numpy's
@@ -165,6 +171,15 @@ def _run_batch(sys: LinearSystem, cfg: SchedulerConfig, horizon: int,
     covariance trace is past the ceiling (``mare._past_ceiling``), its
     row leaves the state, the step's slot arrays and the noise, and is
     not stepped again.  The generator returns once no row is live.
+
+    The PSD guard runs on step k only if some live row has had a stored
+    trace, at a step before k, that is not <= ``sys``'s idle bound (NaN
+    and inf are not).  Below the bound, Q > 0 keeps the next stored
+    covariance above the all-delivered posterior with a margin round-off
+    cannot close, so the guard would return it bit for bit; a row stays
+    guarded once it has passed the bound, since the induction needs every
+    earlier stored covariance proved PSD.  The guard leaves proved rows
+    alone, so a row is the same in any batch.
     """
     n, m = sys.n, sys.m
     if cfg.m != m:
@@ -174,7 +189,8 @@ def _run_batch(sys: LinearSystem, cfg: SchedulerConfig, horizon: int,
     N = len(seeds)
     K = horizon
     # Every row starts at P0, so at step 0 the rows retire together.
-    if _past_ceiling(np.einsum("ii", sys.P0)):
+    trace0 = np.einsum("ii", sys.P0)
+    if _past_ceiling(trace0):
         return
     stats = scheduler_stats(cfg)
     shrink = np.array([s.drop_shrink for s in stats])
@@ -208,6 +224,10 @@ def _run_batch(sys: LinearSystem, cfg: SchedulerConfig, horizon: int,
     # is c e + v, so the absolute state never has to be formed.
     e = np.einsum("ij,tj->ti", L0, Z0)
     P = np.tile(sys.P0, (N, 1, 1))
+    # A row needs the PSD guard from the first step after a stored trace
+    # of its own was not <= the system's idle bound (NaN and inf are not).
+    idle_trace = sys._guard_idle_trace
+    guarded = np.full(N, not trace0 <= idle_trace)
     yield 0, e, P, None, None, None
 
     for k in range(1, K + 1):
@@ -228,13 +248,17 @@ def _run_batch(sys: LinearSystem, cfg: SchedulerConfig, horizon: int,
                 deliv = high[:, i] | arr[:, i]
                 P, gain = weighted_update(P, Pc, s_var, np.where(deliv, 1.0, shrink[i]))
                 e = e - (deliv * z)[:, None] * gain
-            P = psd_floor(P)
-            over = _past_ceiling(np.einsum("tii->t", P))
+            if guarded.any():
+                P = psd_floor(P)
+            trace = np.einsum("tii->t", P)
+            over = _past_ceiling(trace)
+            guarded |= ~(trace <= idle_trace)
         if over.any():
             if over.all():
                 return
             keep = ~over
             e, P, high, arr, eps = e[keep], P[keep], high[keep], arr[keep], eps[keep]
+            guarded = guarded[keep]
             w_noise, v_noise, arrived = w_noise[keep], v_noise[keep], arrived[keep]
         yield k, e, P, high, arr, eps
 

@@ -1,6 +1,7 @@
 """Closed-loop engine: reproducibility, consistency, the streamed
 Monte Carlo summary, and the sandwich."""
 
+import copy
 import dataclasses
 import itertools
 import multiprocessing
@@ -30,7 +31,7 @@ from schedkf import (
     whiten,
 )
 from schedkf import sim
-from schedkf._linalg import psd_factor
+from schedkf._linalg import psd_factor, psd_floor
 from schedkf.channel import _hashed_seeds, _trial_seeds
 from schedkf.mare import riccati_map, time_update
 from test_filter import random_observable_system
@@ -75,6 +76,46 @@ def stable_scheduled_systems(draw):
     return sysm, cfg
 
 
+@hst.composite
+def definite_q_systems(draw):
+    """An observable system with Q > 0 (n in 1..5, m in 1..3, spectral
+    radius 0.3..2, so stable or unstable, lambda_min(Q) from 1e-6 to 1)
+    and a scheduler."""
+    n = draw(hst.integers(1, 5))
+    m = draw(hst.integers(1, 3))
+    rho = draw(hst.floats(0.3, 2.0))
+    q_min = 10.0 ** draw(hst.floats(-6.0, 0.0))
+    rng = np.random.default_rng(draw(hst.integers(0, 2**32 - 1)))
+    sysm = random_observable_system(rng, n, m, spectral_radius=rho)
+    U = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    w = q_min * 10.0 ** rng.uniform(0.0, 2.0, size=n)
+    w[0] = q_min
+    cfg = SchedulerConfig(thresholds=rng.uniform(0.3, 2.0, size=m),
+                          arrival_prob=float(rng.uniform(0.1, 0.9)))
+    return dataclasses.replace(sysm, Q=(U * w) @ U.T), cfg
+
+
+def with_idle_trace(sysm, bound):
+    """``sysm`` with its idle bound replaced: at -inf the engine runs the
+    PSD guard at every step, at inf never."""
+    forced = copy.copy(sysm)
+    object.__setattr__(forced, "_guard_idle_trace", bound)
+    return forced
+
+
+def block_steps(sysm, cfg, horizon, trials, master_seed):
+    """Every ``(k, e, P, high, arrived, eps)`` of trials 0..trials-1 run
+    as one ``_run_batch`` block."""
+    seeds = _hashed_seeds(_trial_seeds(master_seed, 0, trials))
+    return list(sim._run_batch(sysm, cfg, horizon, seeds))
+
+
+def same_steps(got, want):
+    """Whether two runs yielded the same steps, bit for bit."""
+    return len(got) == len(want) and all(
+        np.array_equal(x, y) for a, b in zip(got, want) for x, y in zip(a, b))
+
+
 def trial_records(sysm, cfg, horizon, trials, master_seed):
     """The records of trials 0..trials-1 of ``monte_carlo``, one
     ``simulate_trial`` each."""
@@ -110,18 +151,27 @@ class TestDeterminism:
 
     def test_batch_rows_equal_single_trials(self):
         # every row of a block is computed as it would be alone, a row
-        # leaves the block at the step where its trial truncates, and
+        # leaves the block at the step where its trial truncates,
         # monte_carlo's pre-hashed block seeds give the rows of
-        # simulate_trial(derive_trial_seed(8, t))
+        # simulate_trial(derive_trial_seed(8, t)), and on UNSTABLE_N3_M2 the
+        # rows pass the idle bound at different steps (or never), so the
+        # block runs the PSD guard on steps where a batch of one skips it
         seeds = [derive_trial_seed(8, t) for t in range(6)]
         hashed = _hashed_seeds(_trial_seeds(8, 0, 6))
-        for sysm, cfg, horizon, retiring in ((DENSE_N3_M2, OP_LEVEL_CFG, 30, 0),
-                                             (DIVERGING, SLOW_RATES, 40, 2)):
+        for sysm, cfg, horizon, retiring, crossings in (
+                (DENSE_N3_M2, OP_LEVEL_CFG, 30, 0, 1),
+                (DIVERGING, SLOW_RATES, 40, 2, 1),
+                (UNSTABLE_N3_M2, OP_LEVEL_CFG, 30, 0, 2)):
             records = [simulate_trial(sysm, cfg, horizon, seed) for seed in seeds]
             stop = [horizon + 1 if r.truncated_at is None else r.truncated_at
                     for r in records]
             # the case is the one intended: rows retire at that many steps
+            # and first pass the idle bound at that many steps (or never)
             assert len({s for s in stop if s <= horizon}) >= retiring
+            passed = [np.flatnonzero(~(np.einsum("kii->k", r.covariances)
+                                       <= sysm._guard_idle_trace))
+                      for r in records]
+            assert len({p[0] if p.size else None for p in passed}) >= crossings
             for block in (seeds, hashed):
                 steps = 0
                 for k, e, P, high, arrived, eps in sim._run_batch(
@@ -539,6 +589,112 @@ class TestEngineConsistency:
         for P in rec.covariances[::25]:
             assert np.max(np.abs(P - P.T)) <= 1e-12
             assert np.linalg.eigvalsh(P)[0] >= -1e-10
+
+
+# Q = diag(0, 1) and A = diag(0.5, 0.9) in coordinates turned by 0.5 rad:
+# no idle bound, and the unexcited mode's variance decays into round-off,
+# where the guard repairs rows.
+_TURN = np.array([[np.cos(0.5), -np.sin(0.5)], [np.sin(0.5), np.cos(0.5)]])
+SINGULAR_Q = LinearSystem(A=_TURN @ np.diag([0.5, 0.9]) @ _TURN.T,
+                          C=[[1.0, 0.3]], Q=_TURN @ np.diag([0.0, 1.0]) @ _TURN.T,
+                          R=[[0.5]], x0_mean=[0.0, 0.0], P0=np.eye(2))
+# lambda_min(Q) = 1e-13: a bound of about 0.17, below which the stored
+# covariances have eigenvalues of a few 1e-13.
+TINY_Q = LinearSystem(A=[[0.9, 0.3], [0.0, 0.6]], C=[[1.0, 0.5]],
+                      Q=np.diag([1e-13, 3e-13]), R=[[0.5]], x0_mean=[0.0, 0.0],
+                      P0=1e-3 * np.eye(2))
+ONE_SLOT_CFG = SchedulerConfig(thresholds=[1.0], arrival_prob=0.5)
+
+
+class TestIdleGuard:
+    """With Q > 0 every stored covariance is at least the all-delivered
+    posterior P_min = (Q^-1 + sum_i c_i c_i'/r_i)^-1, so the engine skips
+    the PSD guard while a row's stored traces stay at or below the
+    system's idle bound (``_linalg.guard_idle_trace``)."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=definite_q_systems(), master_seed=hst.integers(0, 2**31 - 1))
+    def test_stored_covariances_are_at_least_p_min(self, case, master_seed):
+        sysm, cfg = case
+        r = sysm.r_diag()
+        p_min = np.linalg.inv(np.linalg.inv(sysm.Q) + (sysm.C.T / r) @ sysm.C)
+        low = np.linalg.eigvalsh(p_min)[0]
+        # the lemma's inverse-free bound; for n == 1 it equals low
+        mu = 1.0 / (1.0 / np.linalg.eigvalsh(sysm.Q)[0]
+                    + np.sum(sysm.C ** 2 / r[:, None]))
+        assert mu <= low * (1.0 + 1e-12)
+        for k, _, P, *_ in block_steps(sysm, cfg, 60, 8, master_seed)[1:]:
+            assert np.linalg.eigvalsh(P - p_min)[:, 0].min() >= -1e-9 * low, k
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=definite_q_systems(), master_seed=hst.integers(0, 2**31 - 1))
+    def test_skipping_the_guard_changes_no_bit(self, case, master_seed):
+        sysm, cfg = case
+        guarded = with_idle_trace(sysm, -np.inf)
+        assert same_steps(block_steps(sysm, cfg, 60, 8, master_seed),
+                          block_steps(guarded, cfg, 60, 8, master_seed))
+
+    @pytest.mark.parametrize("sysm, cfg", [
+        (SINGULAR_Q, ONE_SLOT_CFG),
+        (TINY_Q, ONE_SLOT_CFG),
+        (UNSTABLE_N3_M2, OP_LEVEL_CFG),
+    ], ids=["singular-q", "tiny-q", "unstable-n3-m2"])
+    def test_skipping_the_guard_changes_no_bit_at_the_edges(self, sysm, cfg):
+        got = block_steps(sysm, cfg, 200, 16, 4)
+        # the case is the one intended
+        bound = sysm._guard_idle_trace
+        top = max(np.einsum("tii->t", P).max() for _, _, P, *_ in got)
+        if sysm is SINGULAR_Q:
+            assert bound == -np.inf
+            # here the guard changes bits, so skipping it would show
+            unguarded = with_idle_trace(sysm, np.inf)
+            assert not same_steps(got, block_steps(unguarded, cfg, 200, 16, 4))
+        elif sysm is TINY_Q:
+            assert 0.0 < bound < 1.0 and top <= bound
+        else:
+            assert np.trace(sysm.P0) <= bound < top
+        guarded = with_idle_trace(sysm, -np.inf)
+        assert same_steps(got, block_steps(guarded, cfg, 200, 16, 4))
+
+    @staticmethod
+    def guard_calls(monkeypatch, sysm, cfg, horizon, trials):
+        """The ``psd_floor`` calls a block makes at each step k, and the
+        traces of the covariances it yields."""
+        calls = []
+        monkeypatch.setattr(sim, "psd_floor",
+                            lambda P: calls.append(None) or psd_floor(P))
+        per_step, traces = [], []
+        seeds = _hashed_seeds(_trial_seeds(8, 0, trials))
+        for _, _, P, *_ in sim._run_batch(sysm, cfg, horizon, seeds):
+            per_step.append(len(calls) - sum(per_step))
+            traces.append(np.einsum("tii->t", P))
+        return np.array(per_step), traces
+
+    def test_guard_idle_on_stable_system_with_definite_q(self, monkeypatch):
+        calls, _ = self.guard_calls(monkeypatch, DENSE_N3_M2, OP_LEVEL_CFG, 200, 16)
+        assert len(calls) == 201 and calls.sum() == 0
+
+    def test_guard_runs_every_step_with_singular_q(self, monkeypatch):
+        calls, _ = self.guard_calls(monkeypatch, SINGULAR_Q, ONE_SLOT_CFG, 200, 16)
+        assert calls.tolist() == [0] + [1] * 200
+
+    def test_guard_runs_after_a_row_passes_the_bound(self, monkeypatch):
+        # one of these rows passes the bound mid-run and none retires, so
+        # the guard runs at every step after that row's first pass
+        calls, traces = self.guard_calls(monkeypatch, UNSTABLE_N3_M2,
+                                         OP_LEVEL_CFG, 30, 6)
+        assert all(len(tr) == 6 for tr in traces)
+        passed = [k for k, tr in enumerate(traces)
+                  if not (tr <= UNSTABLE_N3_M2._guard_idle_trace).all()]
+        assert 0 < passed[0] < 29
+        assert calls.tolist() == [int(k > passed[0]) for k in range(31)]
+
+    def test_bound_is_minus_inf_where_nothing_is_proved(self):
+        correlated = dataclasses.replace(DENSE_N3_M2, R=[[1.0, 0.3], [0.3, 1.0]])
+        for sysm in (SINGULAR_Q, OVERFLOWING, correlated):
+            assert sysm._guard_idle_trace == -np.inf
+        # with A = 0 every step starts from Q, whatever P was
+        assert dataclasses.replace(TINY_Q, A=np.zeros((2, 2)))._guard_idle_trace == np.inf
 
 
 class TestTruncation:
