@@ -25,6 +25,7 @@ numpy seeds the generator exactly as from the seed itself.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -215,7 +216,7 @@ def _trial_seeds(master_seed: int, start: int, stop: int) -> np.ndarray:
     Indices are grouped by their word count, so that each group's rows
     have the word count numpy gives them.
     """
-    head = np.array(_words(int(master_seed)), dtype=np.uint32)
+    head = np.array(_words(operator.index(master_seed)), dtype=np.uint32)
     seeds = np.empty(stop - start, dtype=np.uint64)
     lo = start
     while lo < stop:
@@ -238,7 +239,7 @@ def derive_trial_seed(master_seed: int, trial_index: int) -> int:
     reproducible from a single master seed.  ``_trial_seeds`` computes
     the same seeds for a whole block of indices.
     """
-    entropy = (int(master_seed), int(trial_index))
+    entropy = (operator.index(master_seed), operator.index(trial_index))
     return int(np.random.SeedSequence(entropy).generate_state(1, np.uint64)[0])
 
 

@@ -81,6 +81,9 @@ class LinearSystem:
         if C.shape[1] != n:
             raise ValueError(f"C must have {n} columns, got shape {C.shape}")
         m = C.shape[0]
+        if n == 0 or m == 0:
+            raise ValueError(f"the state dimension n and the measurement "
+                             f"dimension m must be >= 1, got n={n}, m={m}")
         if Q.shape != (n, n):
             raise ValueError(f"Q must be {n}x{n}, got shape {Q.shape}")
         if R.shape != (m, m):

@@ -6,11 +6,11 @@ vectorized: ``_run_batch`` steps a block of trials with batched array
 operations and yields each step's state of the trials still live there
 (it retires a trial where it truncates), and ``monte_carlo`` runs fixed
 blocks of ``_BLOCK`` trials on every usable core (``Pool.imap`` in a
-fork pool, or ``map`` in this process), reducing every step of a block
-to per-step partials as it comes and merging the blocks' partials in
-block order.  Only a block's noise has a horizon axis, which
-keeps tens of thousands of trials affordable in time and memory while
-preserving per-trial reproducibility.
+fork pool, or ``map`` in this process).  A block reduces each of its
+steps into its own ``_Totals`` as it comes and hands that back, and the
+blocks' ``_Totals`` merge in block order.  Only a block's noise has a
+horizon axis, which keeps tens of thousands of trials affordable in
+time and memory while preserving per-trial reproducibility.
 
 The loop is integrated in error coordinates e = x_true - x_estimate.
 Innovations, scheduler decisions, gains, and covariances are all exact
@@ -60,6 +60,7 @@ from __future__ import annotations
 import contextlib
 import functools
 import math
+import operator
 import os
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -269,6 +270,7 @@ def simulate_trial(sys: LinearSystem, cfg: SchedulerConfig, horizon: int,
     ``_run_batch`` on a batch of one, truncated if they end early."""
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
+    seed = operator.index(seed)  # a float raises, as in ``default_rng``
     n, m, K = sys.n, sys.m, horizon
     errors = np.full((K + 1, n), np.nan)
     covs = np.full((K + 1, n, n), np.nan)
@@ -276,7 +278,7 @@ def simulate_trial(sys: LinearSystem, cfg: SchedulerConfig, horizon: int,
     arrived = np.zeros((K, m), dtype=bool)
     innovations = np.full((K, m), np.nan)
     k = -1  # the last step yielded
-    for k, e, P, hi, arr, eps in _run_batch(sys, cfg, K, [int(seed)]):
+    for k, e, P, hi, arr, eps in _run_batch(sys, cfg, K, [seed]):
         errors[k] = e[0]
         covs[k] = P[0]
         if k:
@@ -286,7 +288,7 @@ def simulate_trial(sys: LinearSystem, cfg: SchedulerConfig, horizon: int,
     energy = np.where(high, cfg.energy_high, cfg.energy_low)
     energy[max(k, 0):] = np.nan
     return TrialRecord(
-        seed=int(seed),
+        seed=seed,
         errors=errors,
         covariances=covs,
         high_power=high,
@@ -297,62 +299,25 @@ def simulate_trial(sys: LinearSystem, cfg: SchedulerConfig, horizon: int,
     )
 
 
-def _nanmean_or_nan(arr: np.ndarray) -> float:
-    finite = arr[np.isfinite(arr)]
-    return float(finite.mean()) if finite.size else math.nan
-
-
 # Trials per ``_run_batch`` call in ``monte_carlo``.  It is fixed, so the
 # summary depends on nothing but the inputs; cache-sized blocks also run
 # faster than one batch of every trial.
 _BLOCK = 1024
 
 
-def _block_partials(sys: LinearSystem, cfg: SchedulerConfig, horizon: int,
-                    master_seed: int, block: range):
-    """Run the trials in the index range ``block`` as one ``_run_batch``
-    batch and reduce each step k it yields to row k of ``(n_b, mean_b,
-    M2_b, outer_b)`` and row k - 1 of ``high_b``: the block's live row
-    count, its covariance mean and sum of squared deviations, its sum of
-    e e', and its high-power counts per component.  The arrays end at the
-    block's last step."""
-    K, n, m = horizon, sys.n, sys.m
-    count = np.zeros(K + 1, dtype=np.int64)
-    mean = np.empty((K + 1, n, n))
-    m2 = np.empty((K + 1, n, n))
-    outer = np.empty((K + 1, n, n))
-    high_count = np.empty((K, m), dtype=np.int64)
-    steps = 0
-    seeds = _hashed_seeds(_trial_seeds(master_seed, block.start, block.stop))
-    for k, e, P, high, _, _ in _run_batch(sys, cfg, horizon, seeds):
-        n_b = P.shape[0]
-        mean_b = P.sum(axis=0) / n_b
-        dev = P - mean_b
-        count[k] = n_b
-        mean[k] = mean_b
-        m2[k] = np.einsum("tij,tij->ij", dev, dev)
-        outer[k] = np.einsum("ti,tj->ij", e, e)
-        if k:
-            high_count[k - 1] = high.sum(axis=0)
-        steps = k + 1
-    return (count[:steps], mean[:steps], m2[:steps], outer[:steps],
-            high_count[:max(steps - 1, 0)])
-
-
 class _Totals:
-    """Running per-step aggregates, merged in one block at a time.
+    """Per-step aggregates of one block, or of the run so far.
 
-    At each step a block's covariance mean and sum of squared deviations
-    M2 (``_block_partials``) merge into the running ones with the
-    pairwise update of Chan, Golub & LeVeque (The American Statistician
-    37(3), 1983), which extends Welford's online variance (Technometrics
-    4(3), 1962):
+    Row k of ``count``, ``mean_P``, ``m2_P`` and ``outer`` holds the
+    number of trials live at step k, their covariance mean and sum of
+    squared deviations M2, and their sum of e e'; row k - 1 of ``high``
+    holds their high-power counts per component.  A block's ``_Totals``
+    (``_block_partials``) merges into the run's with the pairwise update
+    of Chan, Golub & LeVeque (The American Statistician 37(3), 1983),
+    which extends Welford's online variance (Technometrics 4(3), 1962):
 
         delta = mean_b - mean,  mean += delta n_b / n,
         M2 += M2_b + delta^2 n_a n_b / n,   n = n_a + n_b.
-
-    ``_run_batch`` yields only the rows live at a step, so ``count[k]``
-    is the number of trials live at step k.
     """
 
     def __init__(self, horizon: int, n: int, m: int):
@@ -363,20 +328,21 @@ class _Totals:
         self.outer = np.zeros((K + 1, n, n))
         self.high = np.zeros((K, m), dtype=np.int64)
 
-    def merge(self, partials) -> None:
-        """Merge one block's ``_block_partials``.  Merged in block order,
-        the totals do not depend on where the blocks ran."""
-        n_b, mean_b, m2_b, outer_b, high_b = partials
-        steps = len(n_b)
-        n_a = self.count[:steps]
+    def merge(self, block: _Totals) -> None:
+        """Merge one block's ``_Totals``.  Merged in block order, the
+        totals do not depend on where the blocks ran."""
+        # Rows only retire, so the block's live steps are a prefix, and
+        # its rows past that prefix are zero.
+        steps = np.count_nonzero(block.count)
+        n_a, n_b = self.count[:steps], block.count[:steps]
         n_ab = n_a + n_b
         w = (n_b / n_ab)[:, None, None]
-        delta = mean_b - self.mean_P[:steps]
+        delta = block.mean_P[:steps] - self.mean_P[:steps]
         self.mean_P[:steps] += delta * w
-        self.m2_P[:steps] += m2_b + delta * delta * (n_a[:, None, None] * w)
+        self.m2_P[:steps] += block.m2_P[:steps] + delta * delta * (n_a[:, None, None] * w)
         self.count[:steps] = n_ab
-        self.outer[:steps] += outer_b
-        self.high[:len(high_b)] += high_b
+        self.outer += block.outer
+        self.high += block.high
 
     def summary(self, cfg: SchedulerConfig, horizon: int, trials: int,
                 master_seed: int) -> MonteCarloSummary:
@@ -384,7 +350,8 @@ class _Totals:
         # honest answer there.
         dead = (self.count == 0)[:, None, None]
         n = np.maximum(self.count, 1)[:, None, None]
-        slots = np.where(self.count[1:] > 0, self.count[1:], np.nan)
+        live = self.count[1:] > 0
+        slots = np.where(live, self.count[1:], np.nan)
         # each live row spends one slot per component at each step, so the
         # step's energy follows from the integer counts of the two levels
         high = self.high.sum(axis=1)
@@ -396,12 +363,32 @@ class _Totals:
             mean_P=np.where(dead, np.nan, self.mean_P),
             empirical_cov=np.where(dead, np.nan, self.outer / n),
             se_P=np.where(dead, np.nan, np.sqrt(self.m2_P / n) / np.sqrt(n)),
-            mean_energy_per_step=_nanmean_or_nan(energy_per_step),
+            mean_energy_per_step=(float(energy_per_step[live].mean())
+                                  if live.any() else math.nan),
             energy_per_step=energy_per_step,
             high_power_rate=self.high.sum(axis=0) / (self.count[1:].sum() or np.nan),
             high_rate_per_step=self.high / slots[:, None],
             truncated_trials=trials - int(self.count[horizon]),
         )
+
+
+def _block_partials(sys: LinearSystem, cfg: SchedulerConfig, horizon: int,
+                    master_seed: int, block: range) -> _Totals:
+    """Run the trials in the index range ``block`` as one ``_run_batch``
+    batch and return the block's ``_Totals``: each step k it yields fills
+    row k of ``count``, ``mean_P``, ``m2_P`` and ``outer`` and row k - 1
+    of ``high``.  Rows past the block's last step stay zero."""
+    totals = _Totals(horizon, sys.n, sys.m)
+    seeds = _hashed_seeds(_trial_seeds(master_seed, block.start, block.stop))
+    for k, e, P, high, _, _ in _run_batch(sys, cfg, horizon, seeds):
+        totals.count[k] = len(P)
+        totals.mean_P[k] = P.sum(axis=0) / len(P)
+        dev = P - totals.mean_P[k]
+        totals.m2_P[k] = np.einsum("tij,tij->ij", dev, dev)
+        totals.outer[k] = np.einsum("ti,tj->ij", e, e)
+        if k:
+            totals.high[k - 1] = high.sum(axis=0)
+    return totals
 
 
 def _usable_cores() -> int:
@@ -437,20 +424,20 @@ def monte_carlo(sys: LinearSystem, cfg: SchedulerConfig, horizon: int,
     t)``, so the summary is reproducible bit for bit, and a trial stops
     counting where ``_run_batch`` retires it.  Trials run in fixed
     blocks of ``_BLOCK``, in trial order; each block derives its own trial
-    seeds from its index range as it starts and reduces each of its steps
-    to per-step partials as soon as it is computed.  Only the block's
-    seeds and noise and one step of its state are ever in memory, so a
-    block's peak memory is set by the block size, not by the trial count
-    or by a trials x horizon array of results.
+    seeds from its index range as it starts, reduces each of its steps
+    into its ``_Totals`` as soon as it is computed, and hands that back.
+    Only the block's seeds and noise and one step of its state are ever
+    in memory, so a block's peak memory is set by the block size, not by
+    the trial count or by a trials x horizon array of results.
 
     The blocks run in a fork pool of one worker per usable core
     (``_fork_pool``), or in this process with ``map`` where there is no
-    pool.  ``Pool.imap`` returns their partials in block order, and a
-    finished block's partials wait here only while an earlier block still
-    runs; they merge in block order, so the summary does not depend on
-    the core count, bit for bit.  What a block raises before its first
-    draw (a negative seed, a slot-count mismatch, a correlated R) is
-    raised here, before any worker starts.
+    pool.  ``Pool.imap`` returns their ``_Totals`` in block order, and a
+    finished block's ``_Totals`` wait here only while an earlier block
+    still runs; they merge in block order, so the summary does not depend
+    on the core count, bit for bit.  What a block raises before its first
+    draw (a negative or non-integer seed, a slot-count mismatch, a
+    correlated R) is raised here, before any worker starts.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -468,10 +455,10 @@ def monte_carlo(sys: LinearSystem, cfg: SchedulerConfig, horizon: int,
     # Leaving the pool terminates it and joins its workers, on success
     # and on an error in a worker or here alike.
     with pool or contextlib.nullcontext():
-        for partials in (pool.imap if pool else map)(task, blocks):
-            totals.merge(partials)
-            # Let the block's partials go before the next block runs.
-            del partials
+        for block_totals in (pool.imap if pool else map)(task, blocks):
+            totals.merge(block_totals)
+            # Let the block's totals go before the next block runs.
+            del block_totals
     return totals.summary(cfg, horizon, trials, master_seed)
 
 

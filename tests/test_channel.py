@@ -198,3 +198,18 @@ class TestSeedDerivation:
         with pytest.raises(ValueError):
             monte_carlo(PLANT, SchedulerConfig([1.0, 1.0], 0.5), 5, trials=3,
                         master_seed=-1)
+        # a float seed is not truncated to an int: numpy raises TypeError
+        for master, t in [(1.5, 0), (0, 2.7)]:
+            with pytest.raises(TypeError):
+                np.random.SeedSequence((master, t))
+            with pytest.raises(TypeError):
+                derive_trial_seed(master, t)
+        with pytest.raises(TypeError):
+            np.random.default_rng(1.5)
+        with pytest.raises(TypeError):
+            simulate_trial(PLANT, SchedulerConfig([1.0, 1.0], 0.5), 5, seed=1.5)
+        with pytest.raises(TypeError):
+            monte_carlo(PLANT, SchedulerConfig([1.0, 1.0], 0.5), 5, trials=3,
+                        master_seed=1.5)
+        # numpy integers are integers
+        assert derive_trial_seed(np.int64(1), np.uint32(2)) == derive_trial_seed(1, 2)

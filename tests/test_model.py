@@ -37,6 +37,14 @@ class TestConstruction:
         with pytest.raises(ValueError):
             LinearSystem(A=[[1.0]], C=[[1.0]], Q=[[1.0]], R=[[1.0]],
                          x0_mean=[0.0, 0.0], P0=[[1.0]])
+        # an empty state or measurement dimension, named before any
+        # spectral check reads an empty spectrum
+        with pytest.raises(ValueError, match="n=0"):
+            LinearSystem(A=np.zeros((0, 0)), C=np.zeros((1, 0)), Q=np.zeros((0, 0)),
+                         R=[[1.0]], x0_mean=np.zeros(0), P0=np.zeros((0, 0)))
+        with pytest.raises(ValueError, match="m=0"):
+            LinearSystem(A=[[1.0]], C=np.zeros((0, 1)), Q=[[1.0]], R=np.zeros((0, 0)),
+                         x0_mean=[0.0], P0=[[1.0]])
 
     def test_q_must_be_psd(self):
         with pytest.raises(ValueError, match="Q"):

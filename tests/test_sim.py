@@ -411,25 +411,26 @@ class TestBlockPool:
         monkeypatch.setattr(multiprocessing.pool.Pool, "terminate", counted)
         return terminated
 
-    @pytest.mark.parametrize("sysm, cfg, seed, message", [
+    @pytest.mark.parametrize("sysm, cfg, seed, error, message", [
         (EXAMPLE, SchedulerConfig(thresholds=[1.0], arrival_prob=0.5), 1,
-         "scheduler has 1 thresholds"),
+         ValueError, "scheduler has 1 thresholds"),
         (dataclasses.replace(EXAMPLE, R=[[1.0, 0.5], [0.5, 1.0]]), example_cfg(), 1,
-         "R must be diagonal"),
-        (EXAMPLE, example_cfg(), -1, "expected non-negative integer"),
-    ], ids=["slot-count", "correlated-R", "negative-seed"])
+         ValueError, "R must be diagonal"),
+        (EXAMPLE, example_cfg(), -1, ValueError, "expected non-negative integer"),
+        (EXAMPLE, example_cfg(), 1.5, TypeError, "cannot be interpreted as an integer"),
+    ], ids=["slot-count", "correlated-R", "negative-seed", "float-seed"])
     def test_pre_draw_errors_raised_before_any_worker_starts(
-            self, monkeypatch, sysm, cfg, seed, message):
+            self, monkeypatch, sysm, cfg, seed, error, message):
         def no_pool(*args, **kwargs):
             raise AssertionError("a pool started for an invalid experiment")
 
         monkeypatch.setattr(sim, "_BLOCK", 8)
         monkeypatch.setattr(sim, "_usable_cores", lambda: 2)
         monkeypatch.setattr(multiprocessing.get_context("fork"), "Pool", no_pool)
-        with pytest.raises(ValueError, match=message) as raised:
+        with pytest.raises(error, match=message) as raised:
             monte_carlo(sysm, cfg, 10, trials=40, master_seed=seed)
         # the type and message a block itself raises
-        with pytest.raises(ValueError) as alone:
+        with pytest.raises(error) as alone:
             sim._block_partials(sysm, cfg, 10, seed, range(0, 8))
         assert str(raised.value) == str(alone.value)
 
@@ -458,10 +459,10 @@ class TestBlockPool:
         merge = sim._Totals.merge
         calls = itertools.count(1)
 
-        def failing(totals, partials):
+        def failing(totals, block):
             if next(calls) == 2:
                 raise RuntimeError("merge of block 1 failed")
-            merge(totals, partials)
+            merge(totals, block)
 
         monkeypatch.setattr(sim, "_BLOCK", 8)
         monkeypatch.setattr(sim, "_usable_cores", lambda: 2)
