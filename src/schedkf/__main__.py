@@ -1,0 +1,6 @@
+"""``python -m schedkf``: the ``schedkf`` command without an install."""
+
+from .cli import main
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -30,6 +30,7 @@ experiment.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys as _sys
 from dataclasses import dataclass
@@ -276,7 +277,9 @@ def run_solve_threshold(args) -> int:
     return EXIT_OK
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="schedkf",
         description="Power-scheduled sequential Kalman filtering experiments",
@@ -290,9 +293,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_sim = sub.add_parser("simulate", help="run the closed-loop Monte Carlo")
-    p_sim.set_defaults(func=run_simulate)
     p_an = sub.add_parser("analyze", help="fixed point and stability checks")
-    p_an.set_defaults(func=run_analyze)
     for p in (p_sim, p_an):
         p.add_argument("config", help="experiment config (JSON)")
         p.add_argument("--out", help="output directory override")
@@ -305,14 +306,15 @@ def _build_parser() -> argparse.ArgumentParser:
                       help="low-power arrival probability")
     p_th.add_argument("--lambda", dest="lambda_target", type=float,
                       required=True, help="target information rate")
-    p_th.set_defaults(func=run_solve_threshold)
     return parser
 
 
 def main(argv: Optional[list] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # looked up on every call, so a replaced run_* takes effect
+        return {"simulate": run_simulate, "analyze": run_analyze,
+                "solve-threshold": run_solve_threshold}[args.command](args)
     except _Unreadable as exc:
         print(f"error: cannot read config: {exc}", file=_sys.stderr)
         return EXIT_UNREADABLE
@@ -322,7 +324,3 @@ def main(argv: Optional[list] = None) -> int:
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return EXIT_INVALID
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

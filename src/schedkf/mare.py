@@ -23,19 +23,20 @@ gain_envelope in slot order; mixture_weights are the coefficients of
 that composition unrolled into one sum over the slots.
 At fixed gains the envelope is X -> linear_part(X) + riccati_envelope(0)
 with a completely positive linear part, so both questions reduce to
-linear algebra on its n^2 x n^2 matrix: the affine fixed point exists
-and is the limit of the envelope iteration exactly when the spectral
-radius rho of that matrix is below one, and it is one linear solve.
+linear algebra on its matrix over the n(n+1)/2 coordinates of symmetric
+matrices: the affine fixed point exists and is the limit of the
+envelope iteration exactly when the spectral radius rho of that matrix
+is below one, which one solve and a Cholesky factorization decide.
 
 iterate_fixed_point uses this for policy iteration (Hewer, IEEE TAC
 1971): value iteration until the optimal gains at the iterate make
 rho < 1, then alternate "solve the affine fixed point at the gains" and
 "reset the gains to the optimal ones there", which converges
 quadratically from above.  sufficient_check solves the same system with
-the constant raised by I, which yields Pt with Pt - envelope(Pt) = I
-whenever rho < 1; rho is reported as the contraction factor, whose gap
-below 1 measures how far the certificate gains are from the stability
-boundary.
+the constant raised by I, which yields Pt > 0 with Pt - envelope(Pt) = I
+exactly when rho < 1; rho is reported as the contraction factor, whose
+gap below 1 measures how far the certificate gains are from the
+stability boundary.
 """
 
 from __future__ import annotations
@@ -223,36 +224,46 @@ def optimal_gains(X: np.ndarray, problem: MareProblem) -> list[np.ndarray]:
     return [-g for g in gains]
 
 
-def _affine_fixed_point(gains: Sequence[np.ndarray], const: np.ndarray,
-                        problem: MareProblem, X: np.ndarray,
-                        ) -> tuple[Optional[np.ndarray], float]:
-    """Solve P = linear_part(P, gains) + const in one n^2 x n^2 system.
+def _affine_fixed_point(gains: Sequence[np.ndarray], problem: MareProblem,
+                        X: np.ndarray) -> tuple[Optional[np.ndarray], np.ndarray]:
+    """Solve P = riccati_envelope(gains, P) and W = riccati_envelope(gains,
+    W) + I in one factorization, and decide whether the envelope
+    contracts.
 
-    Returns (P, rho) with rho the spectral radius of the linear part; P
-    is None when rho >= 1, where the affine map has no attracting fixed
-    point.  The system is written in the coordinates where X, an
+    The linear part L maps symmetric matrices to symmetric matrices; M
+    is its k x k matrix, k = n(n+1)/2, in the orthonormal basis E_ii,
+    (E_ij + E_ji)/sqrt(2) of them.  L is a positive map, so rho(L) < 1
+    exactly when some W > 0 has W - L(W) > 0 (Schneider, Numer. Math. 7,
+    1965): W - L(W) = riccati_envelope(gains, 0) + I > 0, so a Cholesky
+    factorization of W proves rho < 1, and rho < 1 gives W >= I.
+    Returns (S, M) with S the stack (P, W), or None where I - M is
+    singular or W fails its Cholesky.  The system is written where X, an
     estimate of P's scale, is the identity (congruence by T = X^(1/2),
     eigenvalues floored at 1e-12 of the largest): next to a fixed point
-    whose eigenvalues spread over many decades the plain system can
-    have condition number 1e10 and lose six digits, the scaled one
-    stays well conditioned.  Column k of the operator matrix is the
-    image of the k-th unit matrix.
+    whose eigenvalues spread over many decades the plain system can have
+    condition number 1e10 and lose six digits, the scaled one stays well
+    conditioned.
     """
     n = problem.n
     ev, V = np.linalg.eigh(sym(X))
-    if ev[-1] > 0.0:
-        root = np.sqrt(np.maximum(ev, 1e-12 * ev[-1]))
-        T, T_inv = V * root, (V / root).T
-    else:
-        T = T_inv = np.eye(n)
-    units = np.eye(n * n).reshape(n * n, n, n)
-    L = T_inv @ linear_part(T @ units @ T.T, gains, problem) @ T_inv.T
-    L = L.reshape(n * n, n * n).T
-    rho = float(np.max(np.abs(np.linalg.eigvals(L))))
-    if not rho < 1.0:
-        return None, rho
-    Y = np.linalg.solve(np.eye(n * n) - L, (T_inv @ const @ T_inv.T).reshape(-1))
-    return sym(T @ Y.reshape(n, n) @ T.T), rho
+    root = np.sqrt(np.maximum(ev, 1e-12 * ev[-1])) if ev[-1] > 0.0 else np.ones(n)
+    T, T_inv = V * root, (V / root).T
+    rows, cols = np.triu_indices(n)
+    # basis element (i, j) under the congruence: w sym(t_i t_j'), t_i
+    # column i of T, w = sqrt(2) off the diagonal
+    w = np.where(rows == cols, 1.0, np.sqrt(2.0))[:, None]
+    basis = w[..., None] * sym(np.einsum("ik,jk->kij", T[:, rows], T[:, cols]))
+    M = w * (T_inv @ linear_part(basis, gains, problem) @ T_inv.T)[:, rows, cols].T
+    const = riccati_envelope(gains, np.zeros((n, n)), problem)
+    # the right sides, overwritten by the solutions
+    S = T_inv @ np.stack((const, const + np.eye(n))) @ T_inv.T
+    try:
+        S[:, rows, cols] = S[:, cols, rows] = (
+            np.linalg.solve(np.eye(rows.size) - M, w * S[:, rows, cols].T) / w).T
+        np.linalg.cholesky(S[1])
+    except np.linalg.LinAlgError:
+        return None, M
+    return sym(T @ S @ T.T), M
 
 
 @dataclass
@@ -358,20 +369,19 @@ def _policy_steps(X: np.ndarray, problem: MareProblem, tol: float,
 
     Appends the trace of every policy iterate to ``traces`` and returns
     the last iterate with whether any step was taken (False when the
-    gains at X do not make the envelope contract).
+    gains at X do not make the envelope contract, which
+    ``_affine_fixed_point`` decides without eigenvalues).
     """
-    zero = np.zeros_like(X)
     last = np.inf
     jumped = False
     while len(traces) <= DEFAULT_MAX_ITER:
         gains = optimal_gains(time_update(X, problem.system), problem)
-        Xp, _ = _affine_fixed_point(
-            gains, riccati_envelope(gains, zero, problem), problem, X)
-        if Xp is None:
+        fixed, _ = _affine_fixed_point(gains, problem, X)
+        if fixed is None:
             break
-        step = float(np.max(np.abs(Xp - X)))
+        step = float(np.max(np.abs(fixed[0] - X)))
         settled = _settled(step, X, tol)
-        X, jumped = Xp, True
+        X, jumped = fixed[0], True
         traces.append(float(np.trace(X)))
         if settled or step >= last:
             break
@@ -411,8 +421,9 @@ class Certificate:
     """Witness of the sufficient condition: feasible gains, a strictly
     feasible matrix with its feasibility margin (min eigenvalue of
     matrix - riccati_envelope(gains, matrix)), and the contraction
-    factor rho(linear_part) at the gains, whose gap below 1 measures how
-    far the gains are from the stability boundary."""
+    factor rho(linear_part) at the gains (from its matrix on symmetric
+    matrices), whose gap below 1 measures how far the gains are from the
+    stability boundary."""
 
     gains: list
     matrix: np.ndarray
@@ -434,29 +445,31 @@ def sufficient_check(problem: MareProblem,
     Takes the optimal envelope gains at the fixed point reached from 0
     (``fixed_point`` if given, else a fresh iterate_fixed_point) and
     solves Pt = linear_part(Pt) + riccati_envelope(gains, 0) + I, so
-    that Pt - riccati_envelope(gains, Pt) = I.  That system has a
-    solution Pt >= I exactly when rho(linear_part) < 1, so the result is
-    exact at these gains and the margin is 1 up to round-off.  False
-    means the fixed point did not converge, rho >= 1 at these gains, or
-    the margin is not positive; other gains are not tried.
+    that Pt - riccati_envelope(gains, Pt) = I.  That solution passes a
+    Cholesky factorization exactly when rho(linear_part) < 1, and then
+    Pt >= I, so the result is exact at these gains and the margin is 1
+    up to round-off; rho, reported as the contraction, is the one set of
+    eigenvalues taken.  False means the fixed point did not converge,
+    rho >= 1 at these gains, or the margin is not positive; other gains
+    are not tried.
     """
     fp = fixed_point if fixed_point is not None else iterate_fixed_point(problem)
     if not fp.converged:
         return SufficientCheck(ok=False, certificate=None)
     gains = optimal_gains(time_update(fp.fixed_point, problem.system), problem)
-    n = problem.n
-    const = riccati_envelope(gains, np.zeros((n, n)), problem) + np.eye(n)
-    Pt, rho = _affine_fixed_point(gains, const, problem, fp.fixed_point)
-    if Pt is None:
+    fixed, M = _affine_fixed_point(gains, problem, fp.fixed_point)
+    rho = float(np.max(np.abs(np.linalg.eigvals(M))))
+    if fixed is None:
+        if rho < 1.0:
+            # Pt = sum_k L^k(envelope(0) + I) >= I for a contracting
+            # completely positive L; hitting this would mean the envelope
+            # algebra is broken.
+            raise AssertionError("certificate matrix is not positive definite")
         return SufficientCheck(ok=False, certificate=None)
+    Pt = fixed[1]
     margin = min_eig(Pt - riccati_envelope(gains, Pt, problem))
     if not margin > 0.0:
         return SufficientCheck(ok=False, certificate=None)
-    if min_eig(Pt) <= 0.0:
-        # Pt = sum_k L^k(const) >= I for a contracting completely
-        # positive L; hitting this would mean the envelope algebra is
-        # broken.
-        raise AssertionError("certificate matrix is not positive definite")
     return SufficientCheck(ok=True, certificate=Certificate(
         gains=gains, matrix=Pt, margin=float(margin), contraction=rho))
 

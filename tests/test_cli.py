@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import schedkf
-from schedkf import component_stats
+from schedkf import cli, component_stats
 from schedkf.cli import (
     EXIT_INVALID,
     EXIT_OK,
@@ -191,6 +191,31 @@ class TestSolveThreshold:
     def test_range_error(self, capsys):
         assert main(["solve-threshold", "--beta", "0.5",
                      "--lambda", "0.4"]) == EXIT_INVALID
+
+
+class TestEntryPoints:
+    def test_parser_built_once_and_command_looked_up_per_call(
+            self, tmp_path, monkeypatch, capsys):
+        # a replaced cli.run_analyze must be the one the next call runs
+        cli._build_parser.cache_clear()
+        path = write_config(tmp_path, base_config(tmp_path / "o"))
+        assert main(["analyze", str(path)]) == EXIT_OK
+        ran = []
+        monkeypatch.setattr(cli, "run_analyze",
+                            lambda args: ran.append(args.config) or EXIT_OK)
+        assert main(["analyze", str(path)]) == EXIT_OK
+        assert ran == [str(path)]
+        assert cli._build_parser.cache_info().misses == 1
+
+    def test_python_m_schedkf_runs_the_command(self, capsys):
+        argv = ["solve-threshold", "--beta", "0.5", "--lambda", "0.6"]
+        assert main(argv) == EXIT_OK
+        want = capsys.readouterr().out
+        src = str(Path(schedkf.__file__).resolve().parents[1])
+        run = subprocess.run([sys.executable, "-m", "schedkf", *argv],
+                             env=dict(os.environ, PYTHONPATH=src),
+                             capture_output=True, text=True, check=True)
+        assert run.stdout == want
 
 
 SCHEDULER = {"lambda_target": [0.6, 0.6], "beta": 0.5}

@@ -11,7 +11,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as hst
 from scipy.linalg import solve_discrete_are
 
@@ -689,6 +689,141 @@ class TestPolicyIterationProperties:
             gap = cert.matrix - riccati_envelope(cert.gains, cert.matrix, prob)
             assert np.max(np.abs(gap - np.eye(prob.n))) <= 1e-8 * (
                 1.0 + np.max(np.abs(cert.matrix)))
+
+
+OP_SYSTEM = LinearSystem(A=[[0.9, 0.3], [0.0, 1.1]], C=[[1.0, 0.0], [0.3, 1.0]],
+                         Q=0.2 * np.eye(2), R=np.diag([0.4, 0.7]),
+                         x0_mean=[0.0, 0.0], P0=np.eye(2))
+
+
+SINGULAR_Q_SYSTEM = LinearSystem(A=[[0.5, 0.1], [0.0, 0.4]], C=[[1.0, 0.0]],
+                                 Q=np.diag([1.0, 0.0]), R=[[1.0]],
+                                 x0_mean=[0.0, 0.0], P0=np.eye(2))
+
+
+def kron_operator(gains, problem):
+    """Oracle for linear_part at fixed gains: its n^2 x n^2 matrix on the
+    row-major vec of any (n, n) matrix, from vec(E X E') = (E kron E) vec(X):
+    A kron A, then (1 - rate) I + rate (E kron E) per slot, E = I + L c."""
+    sysm = problem.system
+    n = problem.n
+    K = np.kron(sysm.A, sysm.A)
+    for L, c, rate in zip(gains, sysm.C, problem.info_rates):
+        E = np.eye(n) + np.outer(L, c)
+        K = ((1.0 - rate) * np.eye(n * n) + rate * np.kron(E, E)) @ K
+    return K
+
+
+def spectral_radius(M):
+    return float(np.max(np.abs(np.linalg.eigvals(M))))
+
+
+@hst.composite
+def gain_problems(draw):
+    """A problem with arbitrary gains (contracting or not) and a scale
+    X > 0."""
+    n = draw(hst.integers(1, 4))
+    m = draw(hst.integers(1, 3))
+    rng = np.random.default_rng(draw(hst.integers(0, 2**32 - 1)))
+    prob = random_problem(rng, n=n, m=m, radius=rng.uniform(0.3, 1.5))
+    gains = [rng.uniform(0.0, 2.0) * rng.standard_normal(n) for _ in range(m)]
+    return prob, gains, random_psd(rng, n) + 1e-3 * np.eye(n)
+
+
+class TestContractionDecision:
+    """``_affine_fixed_point`` decides rho(linear_part) < 1 by a Cholesky
+    factorization of W = riccati_envelope(W) + I, on the n(n+1)/2
+    coordinates of symmetric matrices; the oracles are the n^2 x n^2
+    Kronecker matrix and the unrolled envelope."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=gain_problems())
+    @example(case=(example_problem(), [np.array([-1.0]), np.array([-1.0])],
+                   np.eye(1)))
+    @example(case=(example_problem(), [np.zeros(1), np.zeros(1)], np.eye(1)))
+    # zero gains leave the constant equal to the singular Q, so the fixed
+    # point sum_k L^k(Q) is singular too: only W can decide
+    @example(case=(MareProblem(system=SINGULAR_Q_SYSTEM, info_rates=[0.8]),
+                   [np.zeros(2)], np.eye(2)))
+    def test_cholesky_decision_matches_eigenvalues(self, case):
+        prob, gains, X = case
+        K = kron_operator(gains, prob)
+        rho = spectral_radius(K)
+        assume(abs(rho - 1.0) > 1e-8)
+        S, _ = mare._affine_fixed_point(gains, prob, X)
+        assert (S is not None) == (rho < 1.0)
+        if S is not None:
+            # the envelope's constant is its value at 0, then + I
+            const = envelope_unrolled(gains, prob.system.Q, prob)
+            C = np.stack((const, const + np.eye(prob.n))).reshape(2, -1)
+            residual = S.reshape(2, -1) - S.reshape(2, -1) @ K.T - C
+            assert np.max(np.abs(residual)) <= 1e-9 * (
+                1.0 + np.max(np.abs(S))) / (1.0 - rho)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_symmetric_coordinates_keep_the_spectral_radius(self, n):
+        rng = np.random.default_rng(40 + n)
+        prob = random_problem(rng, n=n, m=max(1, n // 2), radius=1.1)
+        X = random_psd(rng, n) + 0.1 * np.eye(n)
+        gains = optimal_gains(time_update(X, prob.system), prob)
+        _, M = mare._affine_fixed_point(gains, prob, X)
+        assert M.shape == (n * (n + 1) // 2,) * 2
+        assert spectral_radius(M) == pytest.approx(
+            spectral_radius(kron_operator(gains, prob)), rel=1e-12)
+
+    def test_singular_operator_gives_no_fixed_point(self):
+        # A = 1 and rate 0 make the linear part the identity: rho = 1 exactly
+        sysm = LinearSystem(A=[[1.0]], C=[[1.0]], Q=[[1.0]], R=[[1.0]],
+                            x0_mean=[0.0], P0=[[1.0]])
+        prob = MareProblem(system=sysm, info_rates=[0.0])
+        S, M = mare._affine_fixed_point([np.zeros(1)], prob, np.eye(1))
+        assert S is None and M.tolist() == [[1.0]]
+        traces = [1.0]
+        X, jumped = mare._policy_steps(np.eye(1), prob, 1e-9, traces)
+        assert not jumped and traces == [1.0] and X.tolist() == [[1.0]]
+
+    def test_scaling_conditions_a_fixed_point_over_many_decades(self):
+        # n = 8 at rate 1, so the fixed point is the DARE posterior; its
+        # eigenvalues run from 1e-8 to 1e5.  In plain coordinates I - M has
+        # condition number 6e9 and the solve misses by 4e-7 of the largest
+        # entry; in the coordinates where X* is the identity it is 49
+        rng = np.random.default_rng(8)
+        n, m = 8, 4
+        V = np.linalg.qr(rng.standard_normal((n, n)))[0]
+        A = V @ np.diag(np.linspace(0.5, 1.2, n)) @ V.T
+        C = (rng.standard_normal((m, n)) * 10.0 ** np.linspace(0, -3, n)) @ V.T
+        Q = (V * 10.0 ** np.linspace(-8, 4, n)) @ V.T
+        R = np.diag(rng.uniform(0.5, 2.0, m))
+        sysm = LinearSystem(A=A, C=C, Q=0.5 * (Q + Q.T), R=R,
+                            x0_mean=np.zeros(n), P0=np.eye(n))
+        prob = MareProblem(system=sysm, info_rates=np.ones(m))
+        P = solve_discrete_are(A.T, C.T, sysm.Q, R)
+        want = P - P @ C.T @ np.linalg.solve(C @ P @ C.T + R, C @ P)
+        want = 0.5 * (want + want.T)
+        ev = np.linalg.eigvalsh(want)
+        assert ev[0] < 1e-7 and ev[-1] > 1e4
+        gains = optimal_gains(time_update(want, sysm), prob)
+        S, M = mare._affine_fixed_point(gains, prob, want)
+        assert np.linalg.cond(np.eye(M.shape[0]) - M) < 1e3
+        assert np.max(np.abs(S[0] - want)) <= 1e-8 * ev[-1]
+
+    def test_policy_steps_take_no_eigenvalues(self, monkeypatch):
+        calls = []
+        eigvals = np.linalg.eigvals
+        monkeypatch.setattr(np.linalg, "eigvals",
+                            lambda M: calls.append(M.shape) or eigvals(M))
+        prob = MareProblem(system=OP_SYSTEM, info_rates=[0.7, 0.7])
+        X0 = riccati_map(riccati_map(np.zeros((2, 2)), prob), prob)
+        traces = [0.0]
+        _, jumped = mare._policy_steps(X0, prob, 1e-9, traces)
+        assert jumped and len(traces) > 1
+        assert calls == []
+        # the spectral radius is taken once, for the certificate, on the
+        # 3 coordinates of a symmetric 2 x 2 matrix
+        fp = iterate_fixed_point(prob)
+        calls.clear()
+        assert sufficient_check(prob, fixed_point=fp).ok
+        assert calls == [(3, 3)]
 
 
 class TestAnalyze:
