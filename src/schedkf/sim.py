@@ -10,7 +10,11 @@ fork pool, or ``map`` in this process).  A block reduces each of its
 steps into its own ``_Totals`` as it comes and hands that back, and the
 blocks' ``_Totals`` merge in block order.  Only a block's noise has a
 horizon axis, which keeps tens of thousands of trials affordable in
-time and memory while preserving per-trial reproducibility.
+time and memory while preserving per-trial reproducibility.  The noise
+is kept step-major (``w_noise[k]``) and slot-major (``v_noise[k, i]``,
+``arrived[k, i]``), and so are a step's decisions and innovations, so
+every per-step and per-slot slice the loop and the aggregation read is
+contiguous.
 
 The loop is integrated in error coordinates e = x_true - x_estimate.
 Innovations, scheduler decisions, gains, and covariances are all exact
@@ -42,7 +46,10 @@ trial t of a run with master seed s consumes numpy's
 
 Arrival uniforms are drawn for every slot and simply ignored on
 high-power slots, so the stream position never depends on scheduler
-decisions.  The arrival bits U < beta are computed once per block.
+decisions.  Draws 1-3 are consecutive normals, taken by one
+``standard_normal`` call per trial: numpy's normal sampler keeps no
+state between calls, so that call gives the stream three calls would.
+The arrival bits U < beta are computed once per block.
 ``_run_batch`` builds each row's generator with ``default_rng``, as the
 protocol reads.  ``monte_carlo`` hands it seeds already hashed: a block's
 trial indices go to trial seeds, and those to PCG64's seed words, each in
@@ -164,9 +171,11 @@ def _run_batch(sys: LinearSystem, cfg: SchedulerConfig, horizon: int,
     ``(k, e, P, high, arrived, eps)`` for k = 0..horizon: the errors
     (N_k, n) and covariances (N_k, n, n) of the N_k trials live after
     step k, in trial order, and the step's power decisions, arrival bits
-    and normalized innovations, each (N_k, m) and None at k = 0.  Nothing
-    yielded has a horizon axis; only the block's noise does, and each raw
-    draw is freed once transformed.
+    and normalized innovations, each (N_k, m) and None at k = 0.  Those
+    three are transposed views of slot-major (m, N_k) arrays that are
+    never written after they are yielded.  Nothing yielded has a
+    horizon axis; only the block's noise does, and the raw draws are freed
+    before the transformed noise is copied into its step-major layout.
 
     A trial is truncated here and nowhere else: at the first step whose
     covariance trace is past the ceiling (``mare._past_ceiling``), its
@@ -201,29 +210,31 @@ def _run_batch(sys: LinearSystem, cfg: SchedulerConfig, horizon: int,
     LQ = psd_factor(sys.Q)
     LR = psd_factor(sys.R)
 
-    Z0 = np.empty((N, n))
-    W = np.empty((N, K, n))
-    V = np.empty((N, K, m))
+    # Draws 1-3 of the protocol are consecutive normals: one call takes them.
+    G = np.empty((N, n + K * (n + m)))
     U = np.empty((N, K, m))
     for t, seed in enumerate(seeds):
         rng = np.random.default_rng(seed)
-        rng.standard_normal(out=Z0[t])
-        rng.standard_normal(out=W[t])
-        rng.standard_normal(out=V[t])
+        rng.standard_normal(out=G[t])
         rng.random(out=U[t])
-
-    # Stacked matmul and einsum compute every row as it would be alone;
-    # a 2-D product over the rows would not.
-    w_noise = W @ LQ.T
-    del W
-    v_noise = V @ LR.T
-    del V
-    arrived = U < cfg.arrival_prob
+    arrived = np.ascontiguousarray((U < cfg.arrival_prob).transpose(1, 2, 0))
     del U
 
+    # Stacked matmul and einsum compute every row as it would be alone;
+    # a 2-D product over the rows would not.  So the noise is transformed
+    # trial by trial, and laid out step- and slot-major only once the raw
+    # draws are freed.
     # e is the estimation error x_true - x_estimate; the slot innovation
     # is c e + v, so the absolute state never has to be formed.
-    e = np.einsum("ij,tj->ti", L0, Z0)
+    e = np.einsum("ij,tj->ti", L0, G[:, :n])
+    w = G[:, n:n + K * n].reshape(N, K, n) @ LQ.T
+    v = G[:, n + K * n:].reshape(N, K, m) @ LR.T
+    del G
+    w_noise = np.ascontiguousarray(w.transpose(1, 0, 2))
+    del w
+    v_noise = np.ascontiguousarray(v.transpose(1, 2, 0))
+    del v
+
     P = np.tile(sys.P0, (N, 1, 1))
     # A row needs the PSD guard from the first step after a stored trace
     # of its own was not <= the system's idle bound (NaN and inf are not).
@@ -235,18 +246,18 @@ def _run_batch(sys: LinearSystem, cfg: SchedulerConfig, horizon: int,
         # A row that overflows is past the ceiling and retires, so it needs
         # no warning; a ``with`` around the yield would silence the caller.
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            e = np.einsum("ij,tj->ti", sys.A, e) + w_noise[:, k - 1]
+            e = np.einsum("ij,tj->ti", sys.A, e) + w_noise[0]
             P = _linalg.time_update(P, sys.A, sys.Q)
-            arr = arrived[:, k - 1]
-            high = np.empty((len(e), m), dtype=bool)
-            eps = np.empty((len(e), m))
+            arr = arrived[0]
+            high = np.empty((m, len(e)), dtype=bool)
+            eps = np.empty((m, len(e)))
             for i in range(m):
                 c = sys.C[i]
                 Pc, s_var = innovation_terms(P, c, r_diag[i])
-                z = np.einsum("tj,j->t", e, c) + v_noise[:, k - 1, i]
-                eps[:, i] = z / np.sqrt(s_var)
-                high[:, i] = np.abs(eps[:, i]) > thresholds[i]
-                deliv = high[:, i] | arr[:, i]
+                z = np.einsum("tj,j->t", e, c) + v_noise[0, i]
+                eps[i] = z / np.sqrt(s_var)
+                high[i] = np.abs(eps[i]) > thresholds[i]
+                deliv = high[i] | arr[i]
                 P, gain = weighted_update(P, Pc, s_var, np.where(deliv, 1.0, shrink[i]))
                 e = e - (deliv * z)[:, None] * gain
             if guarded.any():
@@ -254,14 +265,19 @@ def _run_batch(sys: LinearSystem, cfg: SchedulerConfig, horizon: int,
             trace = np.einsum("tii->t", P)
             over = _past_ceiling(trace)
             guarded |= ~(trace <= idle_trace)
+        # views of the steps still to come, so that retiring rows copies
+        # no step already taken
+        w_noise, v_noise, arrived = w_noise[1:], v_noise[1:], arrived[1:]
         if over.any():
             if over.all():
                 return
             keep = ~over
-            e, P, high, arr, eps = e[keep], P[keep], high[keep], arr[keep], eps[keep]
-            guarded = guarded[keep]
-            w_noise, v_noise, arrived = w_noise[keep], v_noise[keep], arrived[keep]
-        yield k, e, P, high, arr, eps
+            e, P, guarded = e[keep], P[keep], guarded[keep]
+            # ``compress`` keeps the slot-major arrays C-contiguous
+            w_noise = w_noise.compress(keep, axis=1)
+            high, arr, eps, v_noise, arrived = (
+                a.compress(keep, axis=-1) for a in (high, arr, eps, v_noise, arrived))
+        yield k, e, P, high.T, arr.T, eps.T
 
 
 def simulate_trial(sys: LinearSystem, cfg: SchedulerConfig, horizon: int,

@@ -1,10 +1,13 @@
 """The shared PSD floor: when it fires, when it must not, and that its
 Cholesky certificate never skips a row the eigenvalue floor would fix.
 The weighted rank-one update kernel against a textbook update, and it and
-the time update on stacks against single rows."""
+the time update on stacks against single rows and, bit for bit, against
+their plain reference forms."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from schedkf import _linalg, component_stats
 from schedkf._linalg import (
@@ -187,3 +190,28 @@ class TestWeightedUpdate:
             for row in (0, 17):
                 one, _ = weighted_update(P[row], Pc[row], s[row], 0.3)
                 assert np.array_equal(one, one.T)
+
+
+@settings(max_examples=120, deadline=None)
+@given(n=hst.integers(1, 8), batch=hst.sampled_from([(), (1,), (3,), (1024,)]),
+       per_row=hst.booleans(), seed=hst.integers(0, 2**32 - 1))
+def test_kernels_equal_their_reference_forms_bit_for_bit(n, batch, per_row, seed):
+    # mare's fixed point, the engine and filter.step share these kernels,
+    # and two tests sit at the solver's round-off floor, so a rewrite of
+    # a kernel may change its speed but not one bit of its result
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** rng.uniform(-3.0, 3.0)
+    B = rng.standard_normal(batch + (n, n))
+    P = sym(scale * (B @ np.swapaxes(B, -1, -2) + 0.1 * np.eye(n)))
+    A = rng.standard_normal((n, n))
+    Q = random_psd(rng, n)
+    assert np.array_equal(time_update(P, A, Q), sym(A @ P @ A.T + Q))
+
+    c = rng.standard_normal(n)
+    Pc, s = innovation_terms(P, c, float(rng.uniform(0.05, 2.0)))
+    t = (np.where(rng.random(batch) < 0.5, 1.0, rng.random(batch)) if per_row
+         else DROP_SHRINK)
+    weight = np.asarray(t / s)[..., None, None]
+    out, gain = weighted_update(P, Pc, s, t)
+    assert np.array_equal(out, P - weight * (Pc[..., :, None] * Pc[..., None, :]))
+    assert np.array_equal(gain, Pc / np.asarray(s)[..., None])

@@ -383,11 +383,13 @@ class TestStreamedSummary:
     def test_block_peak_is_set_by_its_noise(self):
         # a block keeps its noise and one step of state; nothing else in
         # it has a horizon axis, and retiring rows copies no more than it
+        # (with m = 3, an extra copy of the (K, m, N) slot arrays would show)
         trials, horizon = 512, 200
-        for radius, cfg, truncated in (
-                (0.95, SchedulerConfig(thresholds=[1.0], arrival_prob=0.5), 0),
-                (3.0, SchedulerConfig.from_rates([0.1], arrival_prob=0.02), trials)):
-            sysm = random_observable_system(np.random.default_rng(3), 4, 1,
+        for m, radius, cfg, truncated in (
+                (1, 0.95, SchedulerConfig(thresholds=[1.0], arrival_prob=0.5), 0),
+                (1, 3.0, SchedulerConfig.from_rates([0.1], arrival_prob=0.02), trials),
+                (3, 0.95, SchedulerConfig(thresholds=[1.0] * 3, arrival_prob=0.5), 0)):
+            sysm = random_observable_system(np.random.default_rng(3), 4, m,
                                             spectral_radius=radius)
             noise_bytes = trials * horizon * (sysm.n + 2 * sysm.m) * 8
             tracemalloc.start()
@@ -779,6 +781,21 @@ class TestTruncation:
         steps = [k for k, *_ in sim._run_batch(OVERFLOWING, cfg, 50, seeds)]
         assert steps == [0]
         assert len(calls) == 1
+
+    def test_yielded_steps_are_not_reused(self):
+        # the slot arrays are kept slot-major and yielded transposed:
+        # every step must stay as it was yielded after later steps ran,
+        # also across the steps where rows retire
+        sysm, cfg, horizon, trials = UNSTABLE_N3_M2, TestStreamedSummary.CFG, 40, 37
+        listed = block_steps(sysm, cfg, horizon, trials, 4)
+        seeds = _hashed_seeds(_trial_seeds(4, 0, trials))
+        copied = [copy.deepcopy(step)
+                  for step in sim._run_batch(sysm, cfg, horizon, seeds)]
+        assert same_steps(listed, copied)
+        assert len({len(P) for _, _, P, *_ in listed}) > 2
+        for k, e, P, *slots in listed[1:]:
+            for a in slots:
+                assert a.shape == (len(P), sysm.m)
 
     def test_error_state_holds_between_steps(self):
         # the engine silences overflow only inside a step: while the
