@@ -283,12 +283,14 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="schedkf",
         description="Power-scheduled sequential Kalman filtering experiments",
-        epilog=f"simulate steps its trials in fixed blocks of {_BLOCK}, one "
-               "per usable core, and reduces each step to per-step sums as "
-               "it is computed, so each process holds one block's noise and "
-               "one step of its state and memory does not grow with "
-               "--trials; results depend only on the config and the seed, "
-               "not on the core count.",
+        epilog=f"simulate steps its trials in fixed blocks of {_BLOCK} on "
+               "one process per usable core: this one, and forked children "
+               "that send their blocks back over pipes (a dead child's "
+               "blocks run in this one).  It reduces each step to per-step "
+               "sums as it is computed, so each process holds one block's "
+               "noise and one step of its state and memory does not grow "
+               "with --trials; results depend only on the config and the "
+               "seed, not on the core count.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -5,10 +5,11 @@ channel, and the remote estimator for a fixed horizon.  Trials are
 vectorized: ``_run_batch`` steps a block of trials with batched array
 operations and yields each step's state of the trials still live there
 (it retires a trial where it truncates), and ``monte_carlo`` runs fixed
-blocks of ``_BLOCK`` trials on every usable core (``Pool.imap`` in a
-fork pool, or ``map`` in this process).  A block reduces each of its
-steps into its own ``_Totals`` as it comes and hands that back, and the
-blocks' ``_Totals`` merge in block order.  Only a block's noise has a
+blocks of ``_BLOCK`` trials on every usable core (``_run_blocks``: this
+process runs its share, and forked children send theirs back over
+pipes).  A block reduces each of its steps into its own ``_Totals`` as
+it comes and hands that back, and the blocks' ``_Totals`` merge in block
+order.  Only a block's noise has a
 horizon axis, which keeps tens of thousands of trials affordable in
 time and memory while preserving per-trial reproducibility.  The noise
 is kept step-major (``w_noise[k]``) and slot-major (``v_noise[k, i]``,
@@ -65,10 +66,11 @@ count.
 from __future__ import annotations
 
 import contextlib
-import functools
 import math
 import operator
 import os
+import pickle
+import signal
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -409,27 +411,64 @@ def _block_partials(sys: LinearSystem, cfg: SchedulerConfig, horizon: int,
 
 def _usable_cores() -> int:
     """Cores this process may run on: its CPU affinity where the platform
-    has one (so ``taskset`` limits it), else the machine's count."""
+    has one (so ``taskset`` limits it), else the machine's count.
+    ``_run_blocks`` runs the blocks on at most this many processes."""
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
 
 
-def _fork_pool(blocks: int):
-    """A fork pool of one worker per usable core, at most one per block,
-    or None where the blocks run in this process: with one block or one
-    usable core, where ``fork`` is not available, or in a daemonic
-    process, which may not start children."""
-    workers = min(blocks, _usable_cores())
-    if workers == 1:
-        return None
-    # imported here: it adds about 20 ms to ``import schedkf``
-    import multiprocessing
-    if ("fork" not in multiprocessing.get_all_start_methods()
-            or multiprocessing.current_process().daemon):
-        return None
-    # fork, not spawn: a worker starts from the caller's imports at no cost
-    return multiprocessing.get_context("fork").Pool(workers)
+def _run_blocks(task, blocks: int, consume) -> None:
+    """``consume(task(i))`` for each block i in range(blocks), in block
+    order, on W = min(blocks, usable cores) processes, or on one where
+    there is no ``os.fork``.  This process forks W - 1 children and runs
+    blocks 0, W, 2W, ... itself; child j runs blocks j, j + W, ... and
+    pickles each result into its own pipe as it is done, and those
+    results are read here in block order.  Where a child ends without
+    sending a block (the block raised, or the child was killed), the
+    block runs here: it gives the same result, or raises the same error
+    with this process's traceback.  Leaving, on success or on an error,
+    closes the pipes and kills and reaps every child."""
+    workers = min(blocks, _usable_cores()) if hasattr(os, "fork") else 1
+    pipes, children = [], []
+    try:
+        for j in range(1, workers):
+            read, write = os.pipe()
+            pipes.append(open(read, "rb"))
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _child(task, range(j, blocks, workers), write)
+            finally:
+                # else a dead child's pipe would never reach EOF
+                os.close(write)
+            children.append(pid)
+        for i in range(blocks):
+            result = None
+            if i % workers:
+                # a child killed mid-write leaves a truncated pickle
+                with contextlib.suppress(EOFError, pickle.UnpicklingError):
+                    result = pickle.load(pipes[i % workers - 1])
+            consume(task(i) if result is None else result)
+    finally:
+        for pipe in pipes:
+            pipe.close()
+        for pid in children:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def _child(task, blocks: range, write: int) -> None:
+    """A forked child's whole run: pickle ``task(i)`` for each block i
+    into the pipe ``write``, one flush per block, then exit, also on an
+    error, without returning into the frames it was forked from."""
+    try:
+        with open(write, "wb") as pipe:
+            for i in blocks:
+                pickle.dump(task(i), pipe, pickle.HIGHEST_PROTOCOL)
+                pipe.flush()
+    finally:
+        os._exit(0)
 
 
 def monte_carlo(sys: LinearSystem, cfg: SchedulerConfig, horizon: int,
@@ -446,14 +485,14 @@ def monte_carlo(sys: LinearSystem, cfg: SchedulerConfig, horizon: int,
     in memory, so a block's peak memory is set by the block size, not by
     the trial count or by a trials x horizon array of results.
 
-    The blocks run in a fork pool of one worker per usable core
-    (``_fork_pool``), or in this process with ``map`` where there is no
-    pool.  ``Pool.imap`` returns their ``_Totals`` in block order, and a
-    finished block's ``_Totals`` wait here only while an earlier block
-    still runs; they merge in block order, so the summary does not depend
-    on the core count, bit for bit.  What a block raises before its first
-    draw (a negative or non-integer seed, a slot-count mismatch, a
-    correlated R) is raised here, before any worker starts.
+    ``_run_blocks`` runs the blocks on one process per usable core: this
+    one and forked children, whose ``_Totals`` come back over pipes.
+    Every block's ``_Totals`` merges here in block order, so the summary
+    does not depend on the core count, bit for bit, and this process
+    holds one block at a time: the one it runs, or the one it merges.
+    What a block raises before its first draw (a negative or non-integer
+    seed, a slot-count mismatch, a correlated R) is raised here, before
+    any child is forked.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -463,18 +502,13 @@ def monte_carlo(sys: LinearSystem, cfg: SchedulerConfig, horizon: int,
     # first draw.
     next(_run_batch(sys, cfg, horizon, _trial_seeds(master_seed, 0, 0)), None)
 
+    def block(i: int) -> _Totals:
+        lo = i * _BLOCK
+        return _block_partials(sys, cfg, horizon, master_seed,
+                               range(lo, min(lo + _BLOCK, trials)))
+
     totals = _Totals(horizon, sys.n, sys.m)
-    task = functools.partial(_block_partials, sys, cfg, horizon, master_seed)
-    starts = range(0, trials, _BLOCK)
-    blocks = (range(lo, min(lo + _BLOCK, trials)) for lo in starts)
-    pool = _fork_pool(len(starts))
-    # Leaving the pool terminates it and joins its workers, on success
-    # and on an error in a worker or here alike.
-    with pool or contextlib.nullcontext():
-        for block_totals in (pool.imap if pool else map)(task, blocks):
-            totals.merge(block_totals)
-            # Let the block's totals go before the next block runs.
-            del block_totals
+    _run_blocks(block, len(range(0, trials, _BLOCK)), totals.merge)
     return totals.summary(cfg, horizon, trials, master_seed)
 
 

@@ -1,11 +1,14 @@
 """Closed-loop engine: reproducibility, consistency, the streamed
 Monte Carlo summary, and the sandwich."""
 
+import contextlib
 import copy
 import dataclasses
+import functools
 import itertools
 import multiprocessing
-import multiprocessing.pool
+import os
+import signal
 import time
 import tracemalloc
 import warnings
@@ -119,6 +122,41 @@ def same_steps(got, want):
     """Whether two runs yielded the same steps, bit for bit."""
     return len(got) == len(want) and all(
         np.array_equal(x, y) for a, b in zip(got, want) for x, y in zip(a, b))
+
+
+def assert_no_child():
+    """No child of this process is left, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@contextlib.contextmanager
+def deadline(seconds):
+    """Fail the test, rather than hang it, if the block inside does not
+    return within ``seconds``."""
+    def expire(signum, frame):
+        pytest.fail(f"the call did not return within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+BLOCK_PARTIALS = sim._block_partials
+
+
+def killed_outside_caller(caller, sysm, cfg, horizon, master_seed, block):
+    """``sim._block_partials``, except that a process other than ``caller``
+    sends itself SIGKILL at the block starting at trial 24.  It is defined
+    at module level, so that a runner that pickles its task, as a process
+    pool does, can send it."""
+    if os.getpid() != caller and block.start == 24:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return BLOCK_PARTIALS(sysm, cfg, horizon, master_seed, block)
 
 
 def trial_records(sysm, cfg, horizon, trials, master_seed):
@@ -282,7 +320,9 @@ class TestStreamedSummary:
             assert np.isnan(summ.mean_P[-1]).all()
             assert np.isnan(summ.se_P[-1]).all()
 
-    @pytest.mark.parametrize("sysm, cfg, horizon, slow_block_0", [
+    # The last case's id predates the block runner: block 0 always runs in
+    # the caller now, so there the slow block is block 1, a child's first.
+    @pytest.mark.parametrize("sysm, cfg, horizon, slow_child", [
         pytest.param(FAST, CFG, 40, False, id="40"),
         pytest.param(FAST, CFG, 60, False, id="60"),
         pytest.param(UNSTABLE_N3_M2, CFG, 40, False, id="dense-n3-m2"),
@@ -292,19 +332,21 @@ class TestStreamedSummary:
                      id="stable-dense-n3-m2-block-0-finishes-last"),
     ])
     def test_core_count_does_not_change_results(self, monkeypatch, sysm, cfg,
-                                                 horizon, slow_block_0):
-        # five blocks of 8 run in one process, or in a pool of 2 or 3
-        # workers; the summary is the same bit for bit, also when block 0
-        # sleeps in its worker until the other blocks have finished
+                                                 horizon, slow_child):
+        # five blocks of 8 run in one process, or in it and 1 or 2 forked
+        # children; the summary is the same bit for bit, also when block 1
+        # sleeps in its child, so that blocks finish out of block order: with
+        # 3 cores block 2 finishes before it and waits in its own pipe
         trials = 37
         monkeypatch.setattr(sim, "_BLOCK", 8)
-        if slow_block_0:
+        if slow_child:
             real = sim._run_batch
-            block_0 = _hashed_seeds(_trial_seeds(4, 0, 1))[0].words
+            block_1 = _hashed_seeds(_trial_seeds(4, 8, 9))[0].words
+            caller = os.getpid()
 
             def slow(sysm, cfg, horizon, seeds):
-                if (multiprocessing.parent_process() is not None and len(seeds)
-                        and np.array_equal(seeds[0].words, block_0)):
+                if (os.getpid() != caller and len(seeds)
+                        and np.array_equal(seeds[0].words, block_1)):
                     time.sleep(0.5)
                 return real(sysm, cfg, horizon, seeds)
 
@@ -336,21 +378,21 @@ class TestStreamedSummary:
             tracemalloc.stop()
 
     # The two peak tests below compare a call of one block with a call of
-    # many; a pool runs only the second, so both are pinned to one core.
+    # many; only the second would fork, so both are pinned to one core.
     def test_peak_memory_is_set_by_the_block(self, monkeypatch):
         monkeypatch.setattr(sim, "_BLOCK", 64)
         monkeypatch.setattr(sim, "_usable_cores", lambda: 1)
         assert self.op_level_peak(16 * 64) <= 1.15 * self.op_level_peak(64)
 
     def test_pool_caller_peak_is_set_by_the_window(self, monkeypatch):
-        # with 2 workers a finished block's partials wait for the caller
-        # only while an earlier block still runs, so the caller's peak must
-        # not grow with the blocks.  How many finished blocks wait at once
-        # depends on timing, so the smaller count takes its highest peak
-        # of three calls, about as many block merges as the larger one.
+        # with 2 cores the caller runs every other block and reads each of
+        # its child's blocks from the pipe only as it merges it, so the
+        # caller's peak must not grow with the blocks.  The peak can depend
+        # on timing, so the smaller count takes its highest peak of three
+        # calls, about as many block merges as the larger one.
         monkeypatch.setattr(sim, "_BLOCK", 64)
         monkeypatch.setattr(sim, "_usable_cores", lambda: 2)
-        self.op_level_peak(3 * 64)  # the pool's one-time allocations
+        self.op_level_peak(3 * 64)  # the first call's one-time allocations
         few = max(self.op_level_peak(16 * 64) for _ in range(3))
         assert self.op_level_peak(64 * 64) <= 1.15 * few
 
@@ -403,20 +445,8 @@ class TestStreamedSummary:
 
 
 class TestBlockPool:
-    """The fork pool that runs the blocks on the usable cores."""
-
-    @pytest.fixture
-    def terminations(self, monkeypatch):
-        """The pools whose ``terminate`` runs during the test, in order."""
-        terminated = []
-        terminate = multiprocessing.pool.Pool.terminate
-
-        def counted(pool):
-            terminated.append(pool)
-            terminate(pool)
-
-        monkeypatch.setattr(multiprocessing.pool.Pool, "terminate", counted)
-        return terminated
+    """The block runner: the caller and the children it forks, one process
+    per usable core."""
 
     @pytest.mark.parametrize("sysm, cfg, seed, error, message", [
         (EXAMPLE, SchedulerConfig(thresholds=[1.0], arrival_prob=0.5), 1,
@@ -428,12 +458,12 @@ class TestBlockPool:
     ], ids=["slot-count", "correlated-R", "negative-seed", "float-seed"])
     def test_pre_draw_errors_raised_before_any_worker_starts(
             self, monkeypatch, sysm, cfg, seed, error, message):
-        def no_pool(*args, **kwargs):
-            raise AssertionError("a pool started for an invalid experiment")
+        def no_fork():
+            raise AssertionError("a child was forked for an invalid experiment")
 
         monkeypatch.setattr(sim, "_BLOCK", 8)
         monkeypatch.setattr(sim, "_usable_cores", lambda: 2)
-        monkeypatch.setattr(multiprocessing.get_context("fork"), "Pool", no_pool)
+        monkeypatch.setattr(os, "fork", no_fork)
         with pytest.raises(error, match=message) as raised:
             monte_carlo(sysm, cfg, 10, trials=40, master_seed=seed)
         # the type and message a block itself raises
@@ -441,28 +471,46 @@ class TestBlockPool:
             sim._block_partials(sysm, cfg, 10, seed, range(0, 8))
         assert str(raised.value) == str(alone.value)
 
-    def test_worker_exception_reaches_caller(self, monkeypatch, terminations):
-        # block 2 (trials 16..23) fails in a worker; its exception ends the
-        # call and terminates the pool, and the fixture in conftest.py
-        # checks that no worker is left
-        real = sim._run_batch
-        block_2 = _hashed_seeds(_trial_seeds(4, 16, 17))[0].words
-
-        def failing(sysm, cfg, horizon, seeds):
-            if len(seeds) and np.array_equal(seeds[0].words, block_2):
-                raise RuntimeError("block 2 failed")
-            return real(sysm, cfg, horizon, seeds)
+    def test_one_process_forks_nothing(self, monkeypatch):
+        # one usable core, or one block, runs every block in the caller
+        def no_fork():
+            raise AssertionError("a child was forked")
 
         monkeypatch.setattr(sim, "_BLOCK", 8)
-        monkeypatch.setattr(sim, "_usable_cores", lambda: 2)
-        monkeypatch.setattr(sim, "_run_batch", failing)
-        with pytest.raises(RuntimeError, match="block 2 failed"):
-            monte_carlo(EXAMPLE, example_cfg(), 10, trials=64, master_seed=4)
-        assert len(terminations) == 1
+        monkeypatch.setattr(os, "fork", no_fork)
+        for cores, trials in ((1, 40), (2, 8)):
+            monkeypatch.setattr(sim, "_usable_cores", lambda cores=cores: cores)
+            monte_carlo(EXAMPLE, example_cfg(), 10, trials=trials, master_seed=3)
 
-    def test_caller_error_terminates_pool(self, monkeypatch, terminations):
-        # the caller's merge of block 1 fails with later blocks still in
-        # the pool; the error ends the call and terminates the pool
+    def test_worker_exception_reaches_caller(self, monkeypatch):
+        # block 2 (trials 16..23) runs in the caller and block 3 (24..31)
+        # in the child; either one's exception ends the call with its own
+        # type and message, raised in the caller, which reruns a block its
+        # child did not send, and no child is left
+        real = sim._run_batch
+        monkeypatch.setattr(sim, "_BLOCK", 8)
+        monkeypatch.setattr(sim, "_usable_cores", lambda: 2)
+        for block in (2, 3):
+            first = _hashed_seeds(_trial_seeds(4, 8 * block, 8 * block + 1))[0].words
+            raised_in = []
+
+            def failing(sysm, cfg, horizon, seeds, block=block, first=first,
+                        raised_in=raised_in):
+                if len(seeds) and np.array_equal(seeds[0].words, first):
+                    raised_in.append(os.getpid())
+                    raise RuntimeError(f"block {block} failed")
+                return real(sysm, cfg, horizon, seeds)
+
+            monkeypatch.setattr(sim, "_run_batch", failing)
+            with deadline(30), pytest.raises(RuntimeError, match=f"^block {block} failed$"):
+                monte_carlo(EXAMPLE, example_cfg(), 10, trials=64, master_seed=4)
+            assert raised_in == [os.getpid()]
+            assert_no_child()
+
+    def test_caller_error_terminates_pool(self, monkeypatch):
+        # the caller's merge of block 1, read from the child, fails with
+        # later blocks still to come; the error ends the call with its own
+        # type and message, and no child is left
         merge = sim._Totals.merge
         calls = itertools.count(1)
 
@@ -474,14 +522,32 @@ class TestBlockPool:
         monkeypatch.setattr(sim, "_BLOCK", 8)
         monkeypatch.setattr(sim, "_usable_cores", lambda: 2)
         monkeypatch.setattr(sim._Totals, "merge", failing)
-        with pytest.raises(RuntimeError, match="merge of block 1 failed"):
+        with deadline(30), pytest.raises(RuntimeError, match="^merge of block 1 failed$"):
             monte_carlo(EXAMPLE, example_cfg(), 10, trials=64, master_seed=4)
-        assert len(terminations) == 1
-        assert not multiprocessing.active_children()
+        assert_no_child()
 
-    def test_daemonic_caller_runs_in_process(self, monkeypatch):
-        # a pool worker may not start children, so there monte_carlo runs
-        # its blocks in-process, to the same bits
+    def test_killed_child_gives_the_one_core_bits(self, monkeypatch):
+        # a child killed from outside (SIGKILL, as the OOM killer sends)
+        # while it runs block 3 (trials 24..31): the caller runs the
+        # child's unsent blocks itself, to the bits of one core, and
+        # reaps the child
+        monkeypatch.setattr(sim, "_BLOCK", 8)
+        monkeypatch.setattr(sim, "_usable_cores", lambda: 1)
+        want = monte_carlo(EXAMPLE, example_cfg(), 10, trials=64, master_seed=4)
+        monkeypatch.setattr(sim, "_block_partials",
+                            functools.partial(killed_outside_caller, os.getpid()))
+        monkeypatch.setattr(sim, "_usable_cores", lambda: 2)
+        with deadline(30):
+            got = monte_carlo(EXAMPLE, example_cfg(), 10, trials=64, master_seed=4)
+        for key in BIT_FIELDS:
+            assert np.array_equal(getattr(got, key), getattr(want, key),
+                                  equal_nan=True), key
+        assert_no_child()
+
+    def test_daemonic_caller_gives_same_bits(self, monkeypatch):
+        # multiprocessing lets a pool worker, a daemonic process, start no
+        # children of its own; the runner forks there as anywhere, to the
+        # same bits
         monkeypatch.setattr(sim, "_BLOCK", 8)
         monkeypatch.setattr(sim, "_usable_cores", lambda: 2)
         args = (EXAMPLE, example_cfg(), 20, 40, 3)
