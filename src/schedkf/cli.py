@@ -42,7 +42,7 @@ import numpy as np
 from .channel import SchedulerConfig, scheduler_stats
 from .mare import DEFAULT_TRACE_CEILING, MareProblem, analyze
 from .model import LinearSystem, validate
-from .sim import _BLOCK, monte_carlo, summary_json_dict, write_summary_csv
+from .sim import _BATCH, _BLOCK, monte_carlo, summary_json_dict, write_summary_csv
 from .stats import threshold_for_rate
 
 __all__ = ["ExperimentConfig", "load_config", "run_simulate", "run_analyze", "main"]
@@ -286,11 +286,12 @@ def _build_parser() -> argparse.ArgumentParser:
         epilog=f"simulate steps its trials in fixed blocks of {_BLOCK} on "
                "one process per usable core: this one, and forked children "
                "that send their blocks back over pipes (a dead child's "
-               "blocks run in this one).  It reduces each step to per-step "
-               "sums as it is computed, so each process holds one block's "
-               "noise and one step of its state and memory does not grow "
-               "with --trials; results depend only on the config and the "
-               "seed, not on the core count.",
+               "blocks run in this one).  Each process steps its blocks "
+               f"{_BATCH} at a time and reduces each step to per-step sums "
+               "as it is computed, so it holds one batch's noise and one "
+               "step of its state and memory does not grow with --trials; "
+               "results depend only on the config and the seed, not on the "
+               "core count.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -7,15 +7,17 @@ operations and yields each step's state of the trials still live there
 (it retires a trial where it truncates), and ``monte_carlo`` runs fixed
 blocks of ``_BLOCK`` trials on every usable core (``_run_blocks``: this
 process runs its share, and forked children send theirs back over
-pipes).  A block reduces each of its steps into its own ``_Totals`` as
+pipes), each process stepping its blocks ``_BATCH`` at a time as one
+batch.  A block reduces each of its steps into its own ``_Totals`` as
 it comes and hands that back, and the blocks' ``_Totals`` merge in block
-order.  Only a block's noise has a
+order.  Only a batch's noise has a
 horizon axis, which keeps tens of thousands of trials affordable in
 time and memory while preserving per-trial reproducibility.  The noise
-is kept step-major (``w_noise[k]``) and slot-major (``v_noise[k, i]``,
-``arrived[k, i]``), and so are a step's decisions and innovations, so
-every per-step and per-slot slice the loop and the aggregation read is
-contiguous.
+is drawn ``_CHUNK`` trials at a time straight into its step-major
+(``w_noise[k]``) and slot-major (``v_noise[k, i]``, ``arrived[k, i]``)
+layout, and a step's decisions and innovations are kept slot-major too,
+so every per-step and per-slot slice the loop and the aggregation read
+is contiguous.
 
 The loop is integrated in error coordinates e = x_true - x_estimate.
 Innovations, scheduler decisions, gains, and covariances are all exact
@@ -50,7 +52,7 @@ high-power slots, so the stream position never depends on scheduler
 decisions.  Draws 1-3 are consecutive normals, taken by one
 ``standard_normal`` call per trial: numpy's normal sampler keeps no
 state between calls, so that call gives the stream three calls would.
-The arrival bits U < beta are computed once per block.
+The arrival bits U < beta are computed once per chunk of trials.
 ``_run_batch`` builds each row's generator with ``default_rng``, as the
 protocol reads.  ``monte_carlo`` hands it seeds already hashed: a block's
 trial indices go to trial seeds, and those to PCG64's seed words, each in
@@ -58,7 +60,8 @@ one vectorized ``SeedSequence`` call (``channel._trial_seeds``,
 ``channel._hashed_seeds``).  ``simulate_trial`` hands it its int seed and
 stacks the steps of the same engine with a batch of one.
 Every row of a batch is computed as it would be alone, the block size
-is a constant, and blocks merge in block order wherever they ran, so the
+is a constant, a block's ``_Totals`` do not depend on the block it was
+batched with, and blocks merge in block order wherever they ran, so the
 summary depends only on the config and the master seed, not on the core
 count.
 """
@@ -66,6 +69,7 @@ count.
 from __future__ import annotations
 
 import contextlib
+import itertools
 import math
 import operator
 import os
@@ -164,25 +168,33 @@ class MonteCarloSummary:
     truncated_trials: int = 0
 
 
+# Trials ``_run_batch`` draws and transforms at a time: small buffers, so
+# that a batch's noise is allocated once, in its step-major layout.
+_CHUNK = 64
+
+
 def _run_batch(sys: LinearSystem, cfg: SchedulerConfig, horizon: int,
                seeds: Sequence):
     """Run a batch of closed-loop trials one step at a time.
 
     ``seeds`` are the trials' seeds, each taken by ``np.random.default_rng``
     as it is: an int, or a ``channel._HashedSeed``.  Yields
-    ``(k, e, P, high, arrived, eps)`` for k = 0..horizon: the errors
+    ``(k, e, P, high, arrived, eps, live)`` for k = 0..horizon: the errors
     (N_k, n) and covariances (N_k, n, n) of the N_k trials live after
-    step k, in trial order, and the step's power decisions, arrival bits
-    and normalized innovations, each (N_k, m) and None at k = 0.  Those
-    three are transposed views of slot-major (m, N_k) arrays that are
-    never written after they are yielded.  Nothing yielded has a
-    horizon axis; only the block's noise does, and the raw draws are freed
-    before the transformed noise is copied into its step-major layout.
+    step k, in trial order, the step's power decisions, arrival bits
+    and normalized innovations, each (N_k, m) and None at k = 0, and the
+    live trials' positions in ``seeds``, ascending.  The slot arrays are
+    transposed views of slot-major (m, N_k) arrays that are never written
+    after they are yielded.  Nothing yielded has a horizon axis; only the
+    batch's noise does, drawn ``_CHUNK`` trials at a time into small
+    buffers and written from there straight into its step-major layout.
 
     A trial is truncated here and nowhere else: at the first step whose
     covariance trace is past the ceiling (``mare._past_ceiling``), its
-    row leaves the state, the step's slot arrays and the noise, and is
-    not stepped again.  The generator returns once no row is live.
+    row leaves the state, the step's slot arrays and ``live``, and is
+    not stepped again; once a row has left, each step gathers its noise
+    through ``live``, so no noise value is copied more than once.  The
+    generator returns once no row is live.
 
     The PSD guard runs on step k only if some live row has had a stored
     trace, at a step before k, that is not <= ``sys``'s idle bound (NaN
@@ -212,51 +224,55 @@ def _run_batch(sys: LinearSystem, cfg: SchedulerConfig, horizon: int,
     LQ = psd_factor(sys.Q)
     LR = psd_factor(sys.R)
 
-    # Draws 1-3 of the protocol are consecutive normals: one call takes them.
-    G = np.empty((N, n + K * (n + m)))
-    U = np.empty((N, K, m))
-    for t, seed in enumerate(seeds):
-        rng = np.random.default_rng(seed)
-        rng.standard_normal(out=G[t])
-        rng.random(out=U[t])
-    arrived = np.ascontiguousarray((U < cfg.arrival_prob).transpose(1, 2, 0))
-    del U
-
     # Stacked matmul and einsum compute every row as it would be alone;
-    # a 2-D product over the rows would not.  So the noise is transformed
-    # trial by trial, and laid out step- and slot-major only once the raw
-    # draws are freed.
+    # a 2-D product over the rows would not.  So the noise is drawn and
+    # transformed ``_CHUNK`` trials at a time, each chunk written straight
+    # into the step- and slot-major layout.
     # e is the estimation error x_true - x_estimate; the slot innovation
     # is c e + v, so the absolute state never has to be formed.
-    e = np.einsum("ij,tj->ti", L0, G[:, :n])
-    w = G[:, n:n + K * n].reshape(N, K, n) @ LQ.T
-    v = G[:, n + K * n:].reshape(N, K, m) @ LR.T
-    del G
-    w_noise = np.ascontiguousarray(w.transpose(1, 0, 2))
-    del w
-    v_noise = np.ascontiguousarray(v.transpose(1, 2, 0))
-    del v
+    e = np.empty((N, n))
+    w_noise = np.empty((K, N, n))
+    v_noise = np.empty((K, m, N))
+    arrived = np.empty((K, m, N), dtype=bool)
+    # Draws 1-3 of the protocol are consecutive normals: one call takes them.
+    G = np.empty((min(_CHUNK, N), n + K * (n + m)))
+    U = np.empty((len(G), K, m))
+    for lo in range(0, N, _CHUNK):
+        g, u = G[:N - lo], U[:N - lo]
+        hi = lo + len(g)
+        for row, seed in enumerate(seeds[lo:hi]):
+            rng = np.random.default_rng(seed)
+            rng.standard_normal(out=g[row])
+            rng.random(out=u[row])
+        np.less(u.transpose(1, 2, 0), cfg.arrival_prob, out=arrived[:, :, lo:hi])
+        e[lo:hi] = np.einsum("ij,tj->ti", L0, g[:, :n])
+        w_noise[:, lo:hi] = (g[:, n:n + K * n].reshape(-1, K, n) @ LQ.T).transpose(1, 0, 2)
+        v_noise[:, :, lo:hi] = (g[:, n + K * n:].reshape(-1, K, m) @ LR.T).transpose(1, 2, 0)
 
     P = np.tile(sys.P0, (N, 1, 1))
     # A row needs the PSD guard from the first step after a stored trace
     # of its own was not <= the system's idle bound (NaN and inf are not).
     idle_trace = sys._guard_idle_trace
     guarded = np.full(N, not trace0 <= idle_trace)
-    yield 0, e, P, None, None, None
+    live = np.arange(N)
+    yield 0, e, P, None, None, None, live
 
     for k in range(1, K + 1):
         # A row that overflows is past the ceiling and retires, so it needs
         # no warning; a ``with`` around the yield would silence the caller.
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            e = np.einsum("ij,tj->ti", sys.A, e) + w_noise[0]
+            w, v, arr = w_noise[k - 1], v_noise[k - 1], arrived[k - 1]
+            if len(live) < N:
+                # each noise value is copied at most once, at its own step
+                w, v, arr = w[live], v[:, live], arr[:, live]
+            e = np.einsum("ij,tj->ti", sys.A, e) + w
             P = _linalg.time_update(P, sys.A, sys.Q)
-            arr = arrived[0]
             high = np.empty((m, len(e)), dtype=bool)
             eps = np.empty((m, len(e)))
             for i in range(m):
                 c = sys.C[i]
                 Pc, s_var = innovation_terms(P, c, r_diag[i])
-                z = np.einsum("tj,j->t", e, c) + v_noise[0, i]
+                z = np.einsum("tj,j->t", e, c) + v[i]
                 eps[i] = z / np.sqrt(s_var)
                 high[i] = np.abs(eps[i]) > thresholds[i]
                 deliv = high[i] | arr[i]
@@ -267,19 +283,14 @@ def _run_batch(sys: LinearSystem, cfg: SchedulerConfig, horizon: int,
             trace = np.einsum("tii->t", P)
             over = _past_ceiling(trace)
             guarded |= ~(trace <= idle_trace)
-        # views of the steps still to come, so that retiring rows copies
-        # no step already taken
-        w_noise, v_noise, arrived = w_noise[1:], v_noise[1:], arrived[1:]
         if over.any():
             if over.all():
                 return
             keep = ~over
-            e, P, guarded = e[keep], P[keep], guarded[keep]
+            e, P, guarded, live = e[keep], P[keep], guarded[keep], live[keep]
             # ``compress`` keeps the slot-major arrays C-contiguous
-            w_noise = w_noise.compress(keep, axis=1)
-            high, arr, eps, v_noise, arrived = (
-                a.compress(keep, axis=-1) for a in (high, arr, eps, v_noise, arrived))
-        yield k, e, P, high.T, arr.T, eps.T
+            high, arr, eps = (a.compress(keep, axis=-1) for a in (high, arr, eps))
+        yield k, e, P, high.T, arr.T, eps.T, live
 
 
 def simulate_trial(sys: LinearSystem, cfg: SchedulerConfig, horizon: int,
@@ -296,7 +307,7 @@ def simulate_trial(sys: LinearSystem, cfg: SchedulerConfig, horizon: int,
     arrived = np.zeros((K, m), dtype=bool)
     innovations = np.full((K, m), np.nan)
     k = -1  # the last step yielded
-    for k, e, P, hi, arr, eps in _run_batch(sys, cfg, K, [seed]):
+    for k, e, P, hi, arr, eps, _ in _run_batch(sys, cfg, K, [seed]):
         errors[k] = e[0]
         covs[k] = P[0]
         if k:
@@ -391,21 +402,29 @@ class _Totals:
 
 
 def _block_partials(sys: LinearSystem, cfg: SchedulerConfig, horizon: int,
-                    master_seed: int, block: range) -> _Totals:
-    """Run the trials in the index range ``block`` as one ``_run_batch``
-    batch and return the block's ``_Totals``: each step k it yields fills
+                    master_seed: int, blocks: Sequence[range]) -> list[_Totals]:
+    """Run the trials in the index ranges ``blocks`` as one ``_run_batch``
+    batch and return each block's ``_Totals``: each step k it yields fills
     row k of ``count``, ``mean_P``, ``m2_P`` and ``outer`` and row k - 1
-    of ``high``.  Rows past the block's last step stay zero."""
-    totals = _Totals(horizon, sys.n, sys.m)
-    seeds = _hashed_seeds(_trial_seeds(master_seed, block.start, block.stop))
-    for k, e, P, high, _, _ in _run_batch(sys, cfg, horizon, seeds):
-        totals.count[k] = len(P)
-        totals.mean_P[k] = P.sum(axis=0) / len(P)
-        dev = P - totals.mean_P[k]
-        totals.m2_P[k] = np.einsum("tij,tij->ij", dev, dev)
-        totals.outer[k] = np.einsum("ti,tj->ij", e, e)
-        if k:
-            totals.high[k - 1] = high.sum(axis=0)
+    of ``high`` from the block's live rows, a contiguous slice of the
+    batch, as it would from a batch of the block alone.  Rows past the
+    block's last step stay zero."""
+    totals = [_Totals(horizon, sys.n, sys.m) for _ in blocks]
+    seeds = _hashed_seeds(np.concatenate(
+        [_trial_seeds(master_seed, block.start, block.stop) for block in blocks]))
+    starts = [0, *itertools.accumulate(len(block) for block in blocks)]
+    for k, e, P, high, _, _, live in _run_batch(sys, cfg, horizon, seeds):
+        bounds = live.searchsorted(starts).tolist()
+        for block, lo, hi in zip(totals, bounds, bounds[1:]):
+            if lo == hi:
+                continue
+            block.count[k] = hi - lo
+            block.mean_P[k] = P[lo:hi].sum(axis=0) / (hi - lo)
+            dev = P[lo:hi] - block.mean_P[k]
+            block.m2_P[k] = np.einsum("tij,tij->ij", dev, dev)
+            block.outer[k] = np.einsum("ti,tj->ij", e[lo:hi], e[lo:hi])
+            if k:
+                block.high[k - 1] = high[lo:hi].sum(axis=0)
     return totals
 
 
@@ -418,17 +437,26 @@ def _usable_cores() -> int:
     return os.cpu_count() or 1
 
 
+# Blocks a process steps as one ``_run_batch`` batch: a wider batch
+# spreads each step's fixed numpy cost over more rows.
+_BATCH = 2
+
+
 def _run_blocks(task, blocks: int, consume) -> None:
-    """``consume(task(i))`` for each block i in range(blocks), in block
+    """``consume`` the result of each block i in range(blocks), in block
     order, on W = min(blocks, usable cores) processes, or on one where
-    there is no ``os.fork``.  This process forks W - 1 children and runs
-    blocks 0, W, 2W, ... itself; child j runs blocks j, j + W, ... and
-    pickles each result into its own pipe as it is done, and those
-    results are read here in block order.  Where a child ends without
-    sending a block (the block raised, or the child was killed), the
-    block runs here: it gives the same result, or raises the same error
-    with this process's traceback.  Leaving, on success or on an error,
-    closes the pipes and kills and reaps every child."""
+    there is no ``os.fork``.  ``task(batch)`` runs the blocks of the
+    range ``batch`` together and returns their results in order.  This
+    process forks W - 1 children and owns blocks 0, W, 2W, ...; child j
+    owns blocks j, j + W, ...  Each process runs its own blocks
+    ``_BATCH`` at a time; a child pickles each result into its own pipe
+    as its batch is done, and those results are read here in block order,
+    while this process keeps the later results of its own batch until
+    their turn.  Where a child ends without sending a block (the block
+    raised, or the child was killed), the block runs here alone: it gives
+    the same result, or raises the same error with this process's
+    traceback.  Leaving, on success or on an error, closes the pipes and
+    kills and reaps every child."""
     workers = min(blocks, _usable_cores()) if hasattr(os, "fork") else 1
     pipes, children = [], []
     try:
@@ -443,13 +471,19 @@ def _run_blocks(task, blocks: int, consume) -> None:
                 # else a dead child's pipe would never reach EOF
                 os.close(write)
             children.append(pid)
+        held = {}
         for i in range(blocks):
-            result = None
-            if i % workers:
+            result = held.pop(i, None)
+            if result is None and i % workers:
                 # a child killed mid-write leaves a truncated pickle
                 with contextlib.suppress(EOFError, pickle.UnpicklingError):
                     result = pickle.load(pipes[i % workers - 1])
-            consume(task(i) if result is None else result)
+            if result is None:
+                # a block its child did not send runs alone
+                batch = range(i, blocks, workers)[:1 if i % workers else _BATCH]
+                result, *later = task(batch)
+                held.update(zip(batch[1:], later))
+            consume(result)
     finally:
         for pipe in pipes:
             pipe.close()
@@ -459,14 +493,16 @@ def _run_blocks(task, blocks: int, consume) -> None:
 
 
 def _child(task, blocks: range, write: int) -> None:
-    """A forked child's whole run: pickle ``task(i)`` for each block i
-    into the pipe ``write``, one flush per block, then exit, also on an
-    error, without returning into the frames it was forked from."""
+    """A forked child's whole run: ``task`` on ``blocks``, ``_BATCH`` at a
+    time, pickling each block's result into the pipe ``write`` with one
+    flush per block, then exit, also on an error, without returning into
+    the frames it was forked from."""
     try:
         with open(write, "wb") as pipe:
-            for i in blocks:
-                pickle.dump(task(i), pipe, pickle.HIGHEST_PROTOCOL)
-                pipe.flush()
+            for lo in range(0, len(blocks), _BATCH):
+                for result in task(blocks[lo:lo + _BATCH]):
+                    pickle.dump(result, pipe, pickle.HIGHEST_PROTOCOL)
+                    pipe.flush()
     finally:
         os._exit(0)
 
@@ -481,15 +517,17 @@ def monte_carlo(sys: LinearSystem, cfg: SchedulerConfig, horizon: int,
     blocks of ``_BLOCK``, in trial order; each block derives its own trial
     seeds from its index range as it starts, reduces each of its steps
     into its ``_Totals`` as soon as it is computed, and hands that back.
-    Only the block's seeds and noise and one step of its state are ever
-    in memory, so a block's peak memory is set by the block size, not by
-    the trial count or by a trials x horizon array of results.
+    Each process steps its blocks ``_BATCH`` at a time as one batch, and
+    only the batch's seeds and noise and one step of its state are ever
+    in memory, so a process's peak memory is set by the block size, not
+    by the trial count or by a trials x horizon array of results.
 
     ``_run_blocks`` runs the blocks on one process per usable core: this
     one and forked children, whose ``_Totals`` come back over pipes.
     Every block's ``_Totals`` merges here in block order, so the summary
     does not depend on the core count, bit for bit, and this process
-    holds one block at a time: the one it runs, or the one it merges.
+    holds one batch at a time: the one it runs, its held results, or the
+    block it merges.
     What a block raises before its first draw (a negative or non-integer
     seed, a slot-count mismatch, a correlated R) is raised here, before
     any child is forked.
@@ -502,13 +540,13 @@ def monte_carlo(sys: LinearSystem, cfg: SchedulerConfig, horizon: int,
     # first draw.
     next(_run_batch(sys, cfg, horizon, _trial_seeds(master_seed, 0, 0)), None)
 
-    def block(i: int) -> _Totals:
-        lo = i * _BLOCK
+    def batch(indices: range) -> list[_Totals]:
         return _block_partials(sys, cfg, horizon, master_seed,
-                               range(lo, min(lo + _BLOCK, trials)))
+                               [range(i * _BLOCK, min((i + 1) * _BLOCK, trials))
+                                for i in indices])
 
     totals = _Totals(horizon, sys.n, sys.m)
-    _run_blocks(block, len(range(0, trials, _BLOCK)), totals.merge)
+    _run_blocks(batch, len(range(0, trials, _BLOCK)), totals.merge)
     return totals.summary(cfg, horizon, trials, master_seed)
 
 
