@@ -286,12 +286,13 @@ def _build_parser() -> argparse.ArgumentParser:
         epilog=f"simulate steps its trials in fixed blocks of {_BLOCK} on "
                "one process per usable core: this one, and forked children "
                "that send their blocks back over pipes (a dead child's "
-               "blocks run in this one).  Each process steps its blocks "
-               f"{_BATCH} at a time and reduces each step to per-step sums "
-               "as it is computed, so it holds one batch's noise and one "
-               "step of its state and memory does not grow with --trials; "
-               "results depend only on the config and the seed, not on the "
-               "core count.",
+               "blocks run in this one).  The processes split the blocks "
+               "near-evenly and step them in aligned rounds, at most "
+               f"{_BATCH} blocks to a batch, reducing each step to per-step "
+               "sums as it is computed, so a process holds one batch's noise "
+               "and one step of its state and memory does not grow with "
+               "--trials; results depend only on the config and the seed, "
+               "not on the core count.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

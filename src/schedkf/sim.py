@@ -2,15 +2,17 @@
 
 One trial couples the true plant, the sensor-side scheduler, the lossy
 channel, and the remote estimator for a fixed horizon.  Trials are
-vectorized: ``_run_batch`` steps a block of trials with batched array
+vectorized: ``_run_batch`` steps a batch of trials with batched array
 operations and yields each step's state of the trials still live there
 (it retires a trial where it truncates), and ``monte_carlo`` runs fixed
 blocks of ``_BLOCK`` trials on every usable core (``_run_blocks``: this
 process runs its share, and forked children send theirs back over
-pipes), each process stepping its blocks ``_BATCH`` at a time as one
-batch.  A block reduces each of its steps into its own ``_Totals`` as
-it comes and hands that back, and the blocks' ``_Totals`` merge in block
-order.  Only a batch's noise has a
+pipes).  The processes own near-equal shares of the blocks and step
+them in aligned rounds, at most ``_BATCH`` blocks to a batch
+(``_batches``).  Each step of a batch is reduced into every block's own
+``_Totals`` at once as it comes, each block hands its ``_Totals`` back,
+and the blocks' ``_Totals`` merge in block order.  Only a batch's noise
+has a
 horizon axis, which keeps tens of thousands of trials affordable in
 time and memory while preserving per-trial reproducibility.  The noise
 is drawn ``_CHUNK`` trials at a time straight into its step-major
@@ -328,10 +330,10 @@ def simulate_trial(sys: LinearSystem, cfg: SchedulerConfig, horizon: int,
     )
 
 
-# Trials per ``_run_batch`` call in ``monte_carlo``.  It is fixed, so the
-# summary depends on nothing but the inputs; cache-sized blocks also run
-# faster than one batch of every trial.
-_BLOCK = 1024
+# Trials per block in ``monte_carlo``: the unit of aggregation and of
+# work sharing.  It is fixed, so the summary depends on nothing but the
+# inputs; small blocks also split a run evenly across the cores.
+_BLOCK = 256
 
 
 class _Totals:
@@ -347,15 +349,24 @@ class _Totals:
 
         delta = mean_b - mean,  mean += delta n_b / n,
         M2 += M2_b + delta^2 n_a n_b / n,   n = n_a + n_b.
+
+    ``_Totals(horizon, n, m, blocks)`` holds a batch's blocks at once,
+    each field with a leading block axis, and its item b is block b's
+    ``_Totals``, a view.
     """
 
-    def __init__(self, horizon: int, n: int, m: int):
+    def __init__(self, horizon: int, n: int, m: int, *batch: int):
         K = horizon
-        self.count = np.zeros(K + 1, dtype=np.int64)
-        self.mean_P = np.zeros((K + 1, n, n))
-        self.m2_P = np.zeros((K + 1, n, n))
-        self.outer = np.zeros((K + 1, n, n))
-        self.high = np.zeros((K, m), dtype=np.int64)
+        self.count = np.zeros((*batch, K + 1), dtype=np.int64)
+        self.mean_P = np.zeros((*batch, K + 1, n, n))
+        self.m2_P = np.zeros((*batch, K + 1, n, n))
+        self.outer = np.zeros((*batch, K + 1, n, n))
+        self.high = np.zeros((*batch, K, m), dtype=np.int64)
+
+    def __getitem__(self, b: int) -> _Totals:
+        block = object.__new__(_Totals)
+        block.__dict__.update((name, value[b]) for name, value in vars(self).items())
+        return block
 
     def merge(self, block: _Totals) -> None:
         """Merge one block's ``_Totals``.  Merged in block order, the
@@ -404,28 +415,40 @@ class _Totals:
 def _block_partials(sys: LinearSystem, cfg: SchedulerConfig, horizon: int,
                     master_seed: int, blocks: Sequence[range]) -> list[_Totals]:
     """Run the trials in the index ranges ``blocks`` as one ``_run_batch``
-    batch and return each block's ``_Totals``: each step k it yields fills
-    row k of ``count``, ``mean_P``, ``m2_P`` and ``outer`` and row k - 1
-    of ``high`` from the block's live rows, a contiguous slice of the
-    batch, as it would from a batch of the block alone.  Rows past the
-    block's last step stay zero."""
-    totals = [_Totals(horizon, sys.n, sys.m) for _ in blocks]
+    batch and return each block's ``_Totals``.  Each step k it yields
+    fills row k of ``count``, ``mean_P``, ``m2_P`` and ``outer`` and row
+    k - 1 of ``high`` of every block with a live row, from that block's
+    live rows, a contiguous slice of the batch, as it would from a batch
+    of the block alone; one ``np.add.reduceat`` per field reduces every
+    block at once.  Rows past a block's last step stay zero."""
+    batch = _Totals(horizon, sys.n, sys.m, len(blocks))
     seeds = _hashed_seeds(np.concatenate(
         [_trial_seeds(master_seed, block.start, block.stop) for block in blocks]))
     starts = [0, *itertools.accumulate(len(block) for block in blocks)]
+    n_live = None
     for k, e, P, high, _, _, live in _run_batch(sys, cfg, horizon, seeds):
-        bounds = live.searchsorted(starts).tolist()
-        for block, lo, hi in zip(totals, bounds, bounds[1:]):
-            if lo == hi:
-                continue
-            block.count[k] = hi - lo
-            block.mean_P[k] = P[lo:hi].sum(axis=0) / (hi - lo)
-            dev = P[lo:hi] - block.mean_P[k]
-            block.m2_P[k] = np.einsum("tij,tij->ij", dev, dev)
-            block.outer[k] = np.einsum("ti,tj->ij", e[lo:hi], e[lo:hi])
-            if k:
-                block.high[k - 1] = high[lo:hi].sum(axis=0)
-    return totals
+        if len(live) != n_live:
+            # rows only retire, so the blocks' bounds move only with the count
+            n_live = len(live)
+            bounds = live.searchsorted(starts)
+            # reduceat gives a zero-width segment its first row, not 0, so
+            # only the blocks with a live row are reduced
+            held = np.flatnonzero(np.diff(bounds))
+            lo = bounds[held]
+            count = bounds[held + 1] - lo
+        mean = np.add.reduceat(P, lo) / count[:, None, None]
+        dev = P - np.repeat(mean, count, axis=0)
+        # e e' component-major, the rows along the contiguous axis: n^2
+        # long inner loops in place of a short one per row
+        et = np.ascontiguousarray(e.T)
+        batch.count[held, k] = count
+        batch.mean_P[held, k] = mean
+        batch.m2_P[held, k] = np.add.reduceat(dev * dev, lo)
+        batch.outer[held, k] = np.add.reduceat(et[:, None] * et, lo, axis=-1).transpose(2, 0, 1)
+        if k:
+            # counted in int64, whatever dtype reduceat would pick for bool
+            batch.high[held, k - 1] = np.add.reduceat(high.astype(np.int64), lo)
+    return [batch[b] for b in range(len(blocks))]
 
 
 def _usable_cores() -> int:
@@ -437,9 +460,24 @@ def _usable_cores() -> int:
     return os.cpu_count() or 1
 
 
-# Blocks a process steps as one ``_run_batch`` batch: a wider batch
-# spreads each step's fixed numpy cost over more rows.
-_BATCH = 2
+# The most blocks a process steps as one ``_run_batch`` batch: a wider
+# batch spreads each step's fixed numpy cost over more rows.
+_BATCH = 8
+
+
+def _batches(blocks: int, workers: int, j: int) -> list[range]:
+    """Process j's batches, in order, where ``workers`` processes W run
+    ``blocks`` blocks B.  Process j owns blocks j, j + W, ...  The run
+    takes the fewest rounds R = ceil(B / (W _BATCH)) that keep a batch
+    within ``_BATCH`` blocks, and every process steps the same
+    S = ceil(B / (W R)) of its own blocks per batch (its last batch may
+    hold fewer), so the t-th batch of every process lies in the blocks
+    [t S W, (t + 1) S W), and the processes' block counts differ by at
+    most one."""
+    rounds = -(-blocks // (workers * _BATCH))
+    size = -(-blocks // (workers * rounds))
+    owned = range(j, blocks, workers)
+    return [owned[lo:lo + size] for lo in range(0, len(owned), size)]
 
 
 def _run_blocks(task, blocks: int, consume) -> None:
@@ -448,15 +486,17 @@ def _run_blocks(task, blocks: int, consume) -> None:
     there is no ``os.fork``.  ``task(batch)`` runs the blocks of the
     range ``batch`` together and returns their results in order.  This
     process forks W - 1 children and owns blocks 0, W, 2W, ...; child j
-    owns blocks j, j + W, ...  Each process runs its own blocks
-    ``_BATCH`` at a time; a child pickles each result into its own pipe
-    as its batch is done, and those results are read here in block order,
-    while this process keeps the later results of its own batch until
-    their turn.  Where a child ends without sending a block (the block
-    raised, or the child was killed), the block runs here alone: it gives
-    the same result, or raises the same error with this process's
-    traceback.  Leaving, on success or on an error, closes the pipes and
-    kills and reaps every child."""
+    owns blocks j, j + W, ...  Each process runs its own blocks in the
+    batches ``_batches`` gives it, the same count of them per batch in
+    every process, so that each process's t-th batch is done at about
+    the same time.  A child pickles each result into its own pipe as its
+    batch is done, and those results are read here in block order, while
+    this process keeps the later results of its own batch until their
+    turn.  Where a child ends without sending a block (the block raised,
+    or the child was killed), the block runs here alone: it gives the
+    same result, or raises the same error with this process's traceback.
+    Leaving, on success or on an error, closes the pipes and kills and
+    reaps every child."""
     workers = min(blocks, _usable_cores()) if hasattr(os, "fork") else 1
     pipes, children = [], []
     try:
@@ -466,11 +506,12 @@ def _run_blocks(task, blocks: int, consume) -> None:
             try:
                 pid = os.fork()
                 if pid == 0:
-                    _child(task, range(j, blocks, workers), write)
+                    _child(task, _batches(blocks, workers, j), write)
             finally:
                 # else a dead child's pipe would never reach EOF
                 os.close(write)
             children.append(pid)
+        own = iter(_batches(blocks, workers, 0))
         held = {}
         for i in range(blocks):
             result = held.pop(i, None)
@@ -479,8 +520,9 @@ def _run_blocks(task, blocks: int, consume) -> None:
                 with contextlib.suppress(EOFError, pickle.UnpicklingError):
                     result = pickle.load(pipes[i % workers - 1])
             if result is None:
-                # a block its child did not send runs alone
-                batch = range(i, blocks, workers)[:1 if i % workers else _BATCH]
+                # this process's next batch, or alone a block its child
+                # did not send
+                batch = range(i, i + 1) if i % workers else next(own)
                 result, *later = task(batch)
                 held.update(zip(batch[1:], later))
             consume(result)
@@ -492,15 +534,15 @@ def _run_blocks(task, blocks: int, consume) -> None:
             os.waitpid(pid, 0)
 
 
-def _child(task, blocks: range, write: int) -> None:
-    """A forked child's whole run: ``task`` on ``blocks``, ``_BATCH`` at a
-    time, pickling each block's result into the pipe ``write`` with one
+def _child(task, batches: Sequence[range], write: int) -> None:
+    """A forked child's whole run: ``task`` on each of ``batches`` in
+    turn, pickling each block's result into the pipe ``write`` with one
     flush per block, then exit, also on an error, without returning into
     the frames it was forked from."""
     try:
         with open(write, "wb") as pipe:
-            for lo in range(0, len(blocks), _BATCH):
-                for result in task(blocks[lo:lo + _BATCH]):
+            for batch in batches:
+                for result in task(batch):
                     pickle.dump(result, pipe, pickle.HIGHEST_PROTOCOL)
                     pipe.flush()
     finally:
@@ -517,13 +559,15 @@ def monte_carlo(sys: LinearSystem, cfg: SchedulerConfig, horizon: int,
     blocks of ``_BLOCK``, in trial order; each block derives its own trial
     seeds from its index range as it starts, reduces each of its steps
     into its ``_Totals`` as soon as it is computed, and hands that back.
-    Each process steps its blocks ``_BATCH`` at a time as one batch, and
+    Each process steps its blocks in batches of at most ``_BATCH``, and
     only the batch's seeds and noise and one step of its state are ever
     in memory, so a process's peak memory is set by the block size, not
     by the trial count or by a trials x horizon array of results.
 
     ``_run_blocks`` runs the blocks on one process per usable core: this
-    one and forked children, whose ``_Totals`` come back over pipes.
+    one and forked children, whose ``_Totals`` come back over pipes.  The
+    processes' shares differ by at most one block, and their batches
+    are aligned (``_batches``), so they finish at about the same time.
     Every block's ``_Totals`` merges here in block order, so the summary
     does not depend on the core count, bit for bit, and this process
     holds one batch at a time: the one it runs, its held results, or the

@@ -371,23 +371,32 @@ class TestStreamedSummary:
                                        err_msg=key)
 
     @pytest.mark.parametrize("sysm", [FAST, UNSTABLE_N3_M2], ids=["scalar", "dense-n3-m2"])
-    def test_block_totals_are_the_same_alone_and_in_a_pair(self, sysm):
+    def test_block_totals_are_the_same_alone_and_in_a_batch(self, sysm):
         # each step, a block's live rows are one contiguous slice of its
         # batch, so its _Totals are the same bits alone as in a batch of
-        # two, in either order; the second block is the uneven last block
-        # of 37 trials in blocks of 8
-        horizon, pair = 40, [range(8, 16), range(32, 37)]
-        records = trial_records(sysm, self.CFG, horizon, 37, 4)
-        # the case is the one intended: in both blocks rows retire at
-        # different steps, and one block still steps after the other's
-        # last row has retired
-        stops = [[records[t].truncated_at for t in block] for block in pair]
-        assert all(None not in stop and len(set(stop)) > 1 for stop in stops)
-        assert max(stops[0]) != max(stops[1])
-        alone = [sim._block_partials(sysm, self.CFG, horizon, 4, [block])[0]
-                 for block in pair]
+        # eight, in either order; the last block is the uneven last block
+        # of 37 trials in blocks of 5
+        horizon, trials, size = 40, 37, 5
+        cfg = SchedulerConfig(thresholds=[2.2, 2.2], arrival_prob=0.02)
+        blocks = [range(lo, min(lo + size, trials)) for lo in range(0, trials, size)]
+        assert len(blocks) <= sim._BATCH
+        records = trial_records(sysm, cfg, horizon, trials, 4)
+        alone = [sim._block_partials(sysm, cfg, horizon, 4, [block])[0]
+                 for block in blocks]
+        # the case is the one intended: rows retire at different steps in
+        # one block, blocks stop stepping at different steps, at some step
+        # a block with no live row lies between two with live rows, and at
+        # some step a block counts more than one high-power slot
+        stops = [[horizon + 1 if records[t].truncated_at is None
+                  else records[t].truncated_at for t in block] for block in blocks]
+        assert any(len(set(stop)) > 1 for stop in stops)
+        assert len({max(stop) for stop in stops}) > 1
+        live = np.stack([block.count > 0 for block in alone])
+        assert any(not live[b, k] and live[:b, k].any() and live[b + 1:, k].any()
+                   for b in range(len(blocks)) for k in range(horizon + 1))
+        assert max(block.high.max() for block in alone) > 1
         for order in (1, -1):
-            together = sim._block_partials(sysm, self.CFG, horizon, 4, pair[::order])
+            together = sim._block_partials(sysm, cfg, horizon, 4, blocks[::order])
             for got, want in zip(together, alone[::order]):
                 for name in ("count", "mean_P", "m2_P", "outer", "high"):
                     assert np.array_equal(getattr(got, name), getattr(want, name)), name
@@ -403,16 +412,17 @@ class TestStreamedSummary:
         finally:
             tracemalloc.stop()
 
-    # The two peak tests below compare a call of one batch of two blocks
-    # with a call of many; only the second would fork, so both are pinned
-    # to one core.
+    # The two peak tests below compare calls of whole batches of
+    # ``_BATCH`` blocks with a call of many more; only the larger ones
+    # would fork, so both are pinned to one core.
     def test_peak_memory_is_set_by_the_block(self, monkeypatch):
         monkeypatch.setattr(sim, "_BLOCK", 64)
         monkeypatch.setattr(sim, "_usable_cores", lambda: 1)
-        assert self.op_level_peak(16 * 64) <= 1.15 * self.op_level_peak(2 * 64)
+        assert (self.op_level_peak(4 * sim._BATCH * 64)
+                <= 1.15 * self.op_level_peak(sim._BATCH * 64))
 
     def test_pool_caller_peak_is_set_by_the_window(self, monkeypatch):
-        # with 2 cores the caller runs every other block, two at a time,
+        # with 2 cores the caller runs every other block, a batch at a time,
         # and reads each of its child's blocks from the pipe only as it
         # merges it, so the caller's peak must not grow with the blocks.
         # The peak can depend on timing, so the smaller count takes its
@@ -446,14 +456,19 @@ class TestStreamedSummary:
                 tracemalloc.stop()
 
         # a first call in a fresh interpreter also makes the one-time
-        # allocations of the code it reaches; keep them out of both peaks
-        run(2 * 8)
-        assert peak(8 * 512) <= 1.15 * peak(2 * 8)
+        # allocations of the code it reaches; keep them out of both peaks.
+        # The base is two whole batches, since one batch's peak lies below
+        # the steady state of a run of many
+        few = 2 * sim._BATCH * 8
+        run(few)
+        assert peak(8 * 512) <= 1.15 * peak(few)
 
-    def test_block_peak_is_set_by_its_noise(self):
-        # a block keeps its noise and one step of state; nothing else in
+    def test_block_peak_is_set_by_its_noise(self, monkeypatch):
+        # a batch keeps its noise and one step of state; nothing else in
         # it has a horizon axis, and retiring rows copies no more than it
-        # (with m = 3, an extra copy of the (K, m, N) slot arrays would show)
+        # (with m = 3, an extra copy of the (K, m, N) slot arrays would show).
+        # On one core the 512 trials are one batch, all traced here
+        monkeypatch.setattr(sim, "_usable_cores", lambda: 1)
         trials, horizon = 512, 200
         for m, radius, cfg, truncated in (
                 (1, 0.95, SchedulerConfig(thresholds=[1.0], arrival_prob=0.5), 0),
@@ -510,10 +525,24 @@ class TestBlockPool:
             monkeypatch.setattr(sim, "_usable_cores", lambda cores=cores: cores)
             monte_carlo(EXAMPLE, example_cfg(), 10, trials=trials, master_seed=3)
 
+    def test_batches_cover_every_block_once_in_aligned_rounds(self):
+        for blocks, workers in itertools.product(range(1, 41), range(1, 5)):
+            batches = [sim._batches(blocks, workers, j) for j in range(workers)]
+            for j, own in enumerate(batches):
+                assert [i for batch in own for i in batch] == list(range(j, blocks, workers))
+                assert all(0 < len(batch) <= sim._BATCH for batch in own)
+            counts = [sum(map(len, own)) for own in batches]
+            assert max(counts) - min(counts) <= 1
+            # the t-th batches of all processes fill one window of blocks,
+            # the windows in order, so every block runs exactly once
+            rounds = [sorted(i for own in batches if t < len(own) for i in own[t])
+                      for t in range(max(map(len, batches)))]
+            assert [i for window in rounds for i in window] == list(range(blocks))
+
     def test_worker_exception_reaches_caller(self, monkeypatch):
         # block 2 (trials 16..23) runs in the caller, second in its batch
-        # (0, 2), and block 3 (24..31) in the child, second in its batch
-        # (1, 3); either one's exception ends the call with its own type
+        # (0, 2, 4, 6), and block 3 (24..31) in the child, second in its
+        # batch (1, 3, 5, 7); either one's exception ends the call with its own type
         # and message, raised in the caller, which reruns alone each block
         # its child did not send, and no child is left
         real = sim._run_batch
@@ -557,7 +586,7 @@ class TestBlockPool:
 
     def test_killed_child_gives_the_one_core_bits(self, monkeypatch, tmp_path):
         # a child killed from outside (SIGKILL, as the OOM killer sends)
-        # while it runs the batch (1, 3) that holds block 3 (trials
+        # while it runs the batch (1, 3, 5, 7) that holds block 3 (trials
         # 24..31): the caller runs the child's unsent blocks itself, to
         # the bits of one core, and reaps the child
         monkeypatch.setattr(sim, "_BLOCK", 8)
