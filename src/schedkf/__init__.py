@@ -2,7 +2,7 @@
 
 The package couples seven modules:
 
-* ``model``    plant definition, structural checks, measurement whitening
+* ``model``    plant definition (R diagonal) and structural checks
 * ``stats``    Gaussian-tail statistics of the innovation scheduler
 * ``filter``   the sequential remote estimator: one ``step`` per cycle,
                with three-branch slot updates
@@ -25,7 +25,7 @@ from .mare import (
     partial_update,
     sufficient_check,
 )
-from .model import LinearSystem, validate, whiten
+from .model import LinearSystem, validate
 from .sim import bound_check, monte_carlo, simulate_trial, write_summary_csv
 from .stats import component_stats, threshold_for_rate
 
@@ -34,7 +34,7 @@ __version__ = "0.1.0"
 # Inputs and entry points.  Result types and the Riccati operator's
 # building blocks are exported by their modules.
 __all__ = [
-    "LinearSystem", "validate", "whiten",
+    "LinearSystem", "validate",
     "component_stats", "threshold_for_rate",
     "SchedulerConfig", "scheduler_stats", "energy_ledger", "derive_trial_seed",
     "FilterState", "SlotUpdate", "step",

@@ -74,7 +74,7 @@ def _past_ceiling(trace):
 
 @dataclass(frozen=True)
 class MareProblem:
-    """A system (diagonal R, possibly via whitening) plus per-slot rates."""
+    """A system plus one information rate per measurement slot."""
 
     system: LinearSystem
     info_rates: np.ndarray
@@ -88,7 +88,6 @@ class MareProblem:
             )
         if not np.all((rates >= 0.0) & (rates <= 1.0)):
             raise ValueError("info rates must lie in [0, 1]")
-        self.system.r_diag()  # raises for a correlated R
         rates.setflags(write=False)
         object.__setattr__(self, "info_rates", rates)
 

@@ -1,13 +1,16 @@
-"""Linear stochastic plant definition, structural checks, and whitening.
+"""Linear stochastic plant definition and structural checks.
 
 The estimator stack assumes a discrete-time model
 
     x[k+1] = A x[k] + w[k],      w ~ N(0, Q)
     y[k]   = C x[k] + v[k],      v ~ N(0, R)
 
-with x[0] ~ N(x0_mean, P0).  Measurement components are processed one at
-a time, which is equivalent to the batch update only when R is diagonal;
-``whiten`` rotates any correlated R into that form.
+with x[0] ~ N(x0_mean, P0).  Measurement components are sent and
+processed one per slot, which equals the batch update only when R is
+diagonal, so a ``LinearSystem`` refuses any other R.  A correlated R
+can be whitened before the system is built (C <- R^(-1/2) C, R <- I);
+that is a different experiment, since the thresholds then schedule the
+whitened components, not the sensor's own.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import numpy as np
 
 from ._linalg import PSD_RTOL, guard_idle_trace, sym
 
-__all__ = ["LinearSystem", "ValidationReport", "validate", "whiten"]
+__all__ = ["LinearSystem", "ValidationReport", "validate"]
 
 
 def _as_matrix(value, name: str) -> np.ndarray:
@@ -49,7 +52,7 @@ def _check_spd(M: np.ndarray, name: str, *, allow_semidefinite: bool) -> float:
 
 @dataclass(frozen=True)
 class LinearSystem:
-    """Plant matrices plus the initial-state prior.
+    """Plant matrices plus the initial-state prior, with R diagonal.
 
     Immutable after construction, so one instance can be shared
     read-only by every trial, filter and analysis that uses it.
@@ -96,20 +99,23 @@ class LinearSystem:
         q_min = _check_spd(Q, "Q", allow_semidefinite=True)
         _check_spd(R, "R", allow_semidefinite=False)
         _check_spd(P0, "P0", allow_semidefinite=False)
+        # Slot-by-slot updates are the batch update only for a diagonal R;
+        # the tolerance admits the round-off of a computed one.
+        off = np.abs(R - np.diag(np.diag(R))).max()
+        tol = 1e-12 * (1.0 + np.abs(R).max())
+        if off > tol:
+            raise ValueError(f"R must be diagonal, got an off-diagonal entry "
+                             f"of magnitude {off:.3e} > {tol:.3e}")
 
         for name, arr in fields:
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-        # Decided once: R is diagonal when its off-diagonal entries vanish
-        # up to 1e-12 * (1 + max |R|) (see ``r_diag``).
-        off = np.abs(R - np.diag(np.diag(R))).max()
-        diagonal = off <= 1e-12 * (1.0 + np.abs(R).max())
-        object.__setattr__(self, "_r_diag", np.diag(R) if diagonal else None)
+        object.__setattr__(self, "_r_diag", np.diag(R))
         # Decided once: Q > 0 (see ``mare._necessary_decides``).
         object.__setattr__(self, "_q_definite", q_min > 0.0)
         # Decided once: the trace below which the engine's PSD guard is idle.
         object.__setattr__(self, "_guard_idle_trace", guard_idle_trace(
-            A, Q, q_min, C, np.diag(R)) if diagonal else -np.inf)
+            A, Q, q_min, C, self._r_diag))
 
     @property
     def n(self) -> int:
@@ -122,11 +128,9 @@ class LinearSystem:
         return self.C.shape[0]
 
     def r_diag(self) -> np.ndarray:
-        """Diagonal of R, the per-slot measurement noise variances: the
-        filter, the engine and the operator read R only through this, and
-        a correlated R, which slot-by-slot updates misfilter, raises."""
-        if self._r_diag is None:
-            raise ValueError("R must be diagonal; whiten the system first")
+        """Diagonal of R, the per-slot measurement noise variances, and so
+        all of R, which construction keeps diagonal: the filter, the
+        engine and the operator read R only through this."""
         return self._r_diag
 
     @classmethod
@@ -166,12 +170,11 @@ class ValidationReport:
 
     controllable: bool
     observable: bool
-    r_diagonal: bool
     messages: list = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
-        return self.controllable and self.observable and self.r_diagonal
+        return self.controllable and self.observable
 
 
 def _krylov_rank(A: np.ndarray, B: np.ndarray, messages: list, label: str) -> int:
@@ -197,7 +200,7 @@ def _krylov_rank(A: np.ndarray, B: np.ndarray, messages: list, label: str) -> in
 
 def validate(sys: LinearSystem) -> ValidationReport:
     """Rank-test controllability of (A, sqrt(Q)) and observability of
-    (C, A) through (A', C'), and check that R is diagonal.
+    (C, A) through (A', C').
 
     Controllability is rank-tested on the Krylov matrix of Q itself,
     which has the range of any square root's: Q's round-off, ~eps |Q|,
@@ -215,28 +218,5 @@ def validate(sys: LinearSystem) -> ValidationReport:
     if not observable:
         messages.append("(C, A) is not observable")
 
-    r_diagonal = sys._r_diag is not None
-    if not r_diagonal:
-        messages.append("R is not diagonal; whiten the system before filtering")
-
     return ValidationReport(controllable=controllable, observable=observable,
-                            r_diagonal=r_diagonal, messages=messages)
-
-
-def whiten(sys: LinearSystem) -> LinearSystem:
-    """Rescale measurements so the noise covariance becomes the identity.
-
-    Uses the unique symmetric inverse square root of R, so for diagonal R
-    this divides row i of C by sqrt(R_i).  The state equation and prior
-    are untouched, and the filter's covariance sequence is invariant
-    under the transform.
-    """
-    w, U = np.linalg.eigh(sym(sys.R))
-    if w[0] <= 0.0:
-        raise ValueError(
-            f"R is not positive definite: eigenvalue {w[0]:.6e} <= 0"
-        )
-    R_inv_half = (U / np.sqrt(w)) @ U.T
-    m = sys.m
-    return LinearSystem(A=sys.A, C=R_inv_half @ sys.C, Q=sys.Q,
-                        R=np.eye(m), x0_mean=sys.x0_mean, P0=sys.P0)
+                            messages=messages)

@@ -211,7 +211,7 @@ def _run_batch(sys: LinearSystem, cfg: SchedulerConfig, horizon: int,
     if cfg.m != m:
         raise ValueError(f"scheduler has {cfg.m} thresholds but the system "
                          f"has {m} measurement components")
-    r_diag = sys.r_diag()  # raises, before any draw, for a correlated R
+    r_diag = sys.r_diag()
     N = len(seeds)
     K = horizon
     # Every row starts at P0, so at step 0 the rows retire together.
@@ -573,8 +573,8 @@ def monte_carlo(sys: LinearSystem, cfg: SchedulerConfig, horizon: int,
     holds one batch at a time: the one it runs, its held results, or the
     block it merges.
     What a block raises before its first draw (a negative or non-integer
-    seed, a slot-count mismatch, a correlated R) is raised here, before
-    any child is forked.
+    seed, a slot-count mismatch) is raised here, before any child is
+    forked.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")

@@ -50,6 +50,21 @@ def write_config(tmp_path, cfg, name="config.json"):
     return path
 
 
+def test_readme_example_config_runs(tmp_path):
+    # the config shown under "## Command line" in the README, as written
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Command line", 1)[1]
+    block = section.split("```json\n", 1)[1].split("```", 1)[0]
+    path = tmp_path / "config.json"
+    path.write_text(block)
+    out = tmp_path / "out"
+    assert main(["simulate", str(path), "--trials", "50", "--out", str(out)]) == EXIT_OK
+    assert main(["analyze", str(path), "--out", str(out)]) == EXIT_OK
+    for name in ("summary.csv", "summary.json", "analysis.json",
+                 "effective_config.json"):
+        assert (out / name).stat().st_size > 0, name
+
+
 class TestSimulate:
     def test_worked_example_writes_files(self, tmp_path):
         out = tmp_path / "results"
@@ -124,8 +139,7 @@ class TestSimulate:
         assert main(["simulate", str(path)]) == EXIT_OK
         assert "validate: (A, sqrt(Q)) is not controllable" in capsys.readouterr().err
         validation = json.loads((out / "summary.json").read_text())["validation"]
-        assert validation == {"controllable": False, "observable": True,
-                              "r_diagonal": True}
+        assert validation == {"controllable": False, "observable": True}
 
     def test_overrides(self, tmp_path):
         out = tmp_path / "a"

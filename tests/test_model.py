@@ -1,4 +1,6 @@
-"""System construction, structural validation, and whitening."""
+"""System construction and structural validation."""
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -12,7 +14,6 @@ from schedkf import (
     component_stats,
     step,
     validate,
-    whiten,
 )
 from schedkf.model import _krylov_rank
 
@@ -20,6 +21,13 @@ from schedkf.model import _krylov_rank
 def example_system() -> LinearSystem:
     return LinearSystem(A=[[1.2]], C=[[1.0], [1.0]], Q=[[1.0]],
                         R=[[0.1, 0.0], [0.0, 1.0]], x0_mean=[0.0], P0=[[1.0]])
+
+
+def unit_noise(sysm: LinearSystem) -> LinearSystem:
+    """The same plant measured in units of each slot's noise deviation:
+    row i of C divided by sqrt(R_ii), and R = I."""
+    sd = np.sqrt(sysm.r_diag())
+    return dataclasses.replace(sysm, C=sysm.C / sd[:, None], R=np.eye(sysm.m))
 
 
 class TestConstruction:
@@ -64,6 +72,34 @@ class TestConstruction:
         with pytest.raises(ValueError, match="P0"):
             LinearSystem(A=[[1.0]], C=[[1.0]], Q=[[1.0]], R=[[1.0]],
                          x0_mean=[0.0], P0=[[0.0]])
+
+    def test_correlated_r_rejected(self):
+        # slot-by-slot updates equal the batch filter only for a diagonal
+        # R: from P0 = 1, reading diag(R) of this R would give P = 0.392
+        # where the batch filter gives 0.634
+        R = np.array([[1.0, 0.95], [0.95, 1.0]])
+        prior = 0.9 ** 2 + 1.0
+        ones = np.ones(2)
+        assert 1.0 / (1.0 / prior + ones @ np.linalg.solve(R, ones)) == \
+            pytest.approx(0.634, abs=1e-3)
+        assert 1.0 / (1.0 / prior + 2.0) == pytest.approx(0.392, abs=1e-3)
+        # so no system with it exists: nothing can filter or draw for it
+        with pytest.raises(ValueError, match=r"R must be diagonal.* 9\.500e-01"):
+            LinearSystem(A=[[0.9]], C=[[1.0], [1.0]], Q=[[1.0]], R=R,
+                         x0_mean=[0.0], P0=[[1.0]])
+        sysm = example_system()
+        with pytest.raises(ValueError, match=r"R must be diagonal.* 5\.000e-02"):
+            dataclasses.replace(sysm, R=[[0.1, 0.05], [0.05, 1.0]])
+        # the tolerance is 1e-12 (1 + max |R|): accepted at it, not past it
+        tol = 1e-12 * (1.0 + 1.0)
+        at = dataclasses.replace(sysm, R=[[0.1, tol], [tol, 1.0]])
+        assert np.array_equal(at.r_diag(), [0.1, 1.0])
+        past = np.nextafter(tol, 1.0)
+        with pytest.raises(ValueError, match="R must be diagonal"):
+            dataclasses.replace(sysm, R=[[0.1, past], [past, 1.0]])
+        # r_diag reads the diagonal decided at construction
+        assert sysm.r_diag() is sysm.r_diag()
+        assert not sysm.r_diag().flags.writeable
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("name", ["A", "C", "Q", "R", "x0_mean", "P0"])
@@ -132,7 +168,7 @@ def padded_systems(draw):
 class TestValidate:
     def test_worked_example_passes_all(self):
         rep = validate(example_system())
-        assert rep.controllable and rep.observable and rep.r_diagonal
+        assert rep.controllable and rep.observable
         assert rep.ok
 
     def test_zero_process_noise_is_uncontrollable(self):
@@ -214,13 +250,6 @@ class TestValidate:
                             x0_mean=[0.0, 0.0], P0=np.eye(2))
         assert sysm._q_definite is definite
 
-    def test_non_diagonal_r_flagged(self):
-        sysm = LinearSystem(A=[[1.0]], C=[[1.0], [1.0]], Q=[[1.0]],
-                            R=[[1.0, 0.3], [0.3, 1.0]], x0_mean=[0.0], P0=[[1.0]])
-        rep = validate(sysm)
-        assert not rep.r_diagonal
-        assert not rep.ok
-
 
 @hst.composite
 def diagonal_r_systems(draw):
@@ -240,6 +269,9 @@ def diagonal_r_systems(draw):
 
 
 class TestWhiten:
+    """Measuring every slot in units of its own noise deviation
+    (``unit_noise``) changes no covariance."""
+
     @settings(max_examples=60, deadline=None)
     @given(case=diagonal_r_systems())
     def test_filter_covariances_invariant(self, case):
@@ -247,7 +279,7 @@ class TestWhiten:
         # the two covariance sequences differ by round-off only
         sysm, bits = case
         stats = [component_stats(1.0, 0.3)] * sysm.m
-        systems = (sysm, whiten(sysm))
+        systems = (sysm, unit_noise(sysm))
         states = [FilterState.initial(sys_) for sys_ in systems]
         for step_bits in bits:
             slots = [SlotUpdate(i, 0.0 if high or arrived else None,
@@ -257,47 +289,3 @@ class TestWhiten:
                       for st, sys_ in zip(states, systems)]
             P, P_white = states[0].P, states[1].P
             assert np.max(np.abs(P_white - P)) <= 1e-10 * (1.0 + np.max(np.abs(P)))
-
-    def test_identity_r_is_noop(self):
-        sysm = LinearSystem(A=[[1.0]], C=[[2.0], [3.0]], Q=[[1.0]],
-                            R=np.eye(2), x0_mean=[0.0], P0=[[1.0]])
-        white = whiten(sysm)
-        assert np.allclose(white.C, sysm.C, atol=1e-14)
-        assert np.allclose(white.R, np.eye(2), atol=1e-14)
-
-    def test_scalar_scaling(self):
-        sysm = LinearSystem(A=[[1.0]], C=[[2.0]], Q=[[1.0]], R=[[4.0]],
-                            x0_mean=[0.0], P0=[[1.0]])
-        white = whiten(sysm)
-        assert white.C[0, 0] == pytest.approx(1.0, abs=1e-14)
-        assert white.R[0, 0] == pytest.approx(1.0, abs=1e-14)
-
-    def test_diagonal_divides_rows_by_sqrt(self):
-        white = whiten(example_system())
-        assert white.C[0, 0] == pytest.approx(1.0 / np.sqrt(0.1), rel=1e-13)
-        assert white.C[1, 0] == pytest.approx(1.0, abs=1e-13)
-
-    def test_correlated_r(self):
-        R = np.array([[2.0, 0.5], [0.5, 1.0]])
-        sysm = LinearSystem(A=[[1.0]], C=[[1.0], [1.0]], Q=[[1.0]], R=R,
-                            x0_mean=[0.0], P0=[[1.0]])
-        white = whiten(sysm)
-        assert np.allclose(white.R, np.eye(2), atol=1e-12)
-        # the transform is the symmetric inverse root
-        w, U = np.linalg.eigh(R)
-        Rih = (U / np.sqrt(w)) @ U.T
-        assert np.allclose(white.C, Rih @ sysm.C, atol=1e-12)
-
-    def test_idempotent(self):
-        twice = whiten(whiten(example_system()))
-        assert np.max(np.abs(twice.R - np.eye(2))) <= 1e-12
-
-    def test_error_names_offending_eigenvalue(self):
-        # Bypass constructor validation to exercise the whiten-side check.
-        sysm = example_system()
-        bad = object.__new__(LinearSystem)
-        for name in ("A", "C", "Q", "x0_mean", "P0"):
-            object.__setattr__(bad, name, getattr(sysm, name))
-        object.__setattr__(bad, "R", np.array([[1.0, 0.0], [0.0, -2.0]]))
-        with pytest.raises(ValueError, match="eigenvalue"):
-            whiten(bad)

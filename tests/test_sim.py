@@ -31,13 +31,13 @@ from schedkf import (
     scheduler_stats,
     simulate_trial,
     step,
-    whiten,
 )
 from schedkf import sim
 from schedkf._linalg import psd_factor, psd_floor
 from schedkf.channel import _hashed_seeds, _trial_seeds
 from schedkf.mare import _past_ceiling, riccati_map, time_update
 from test_filter import random_observable_system
+from test_model import unit_noise
 
 EXAMPLE = LinearSystem(A=[[1.2]], C=[[1.0], [1.0]], Q=[[1.0]],
                      R=[[0.1, 0.0], [0.0, 1.0]], x0_mean=[0.0], P0=[[1.0]])
@@ -456,12 +456,16 @@ class TestStreamedSummary:
                 tracemalloc.stop()
 
         # a first call in a fresh interpreter also makes the one-time
-        # allocations of the code it reaches; keep them out of both peaks.
-        # The base is two whole batches, since one batch's peak lies below
-        # the steady state of a run of many
-        few = 2 * sim._BATCH * 8
+        # allocations of the code it reaches, and numpy keeps a few freed
+        # small buffers of each size for reuse, which a first call of many
+        # blocks fills further (by 8.8 kB here); warm up at both sizes to
+        # keep them out of both peaks.  The base is two whole batches,
+        # since one batch's peak lies below the steady state of a run of
+        # many
+        few, many = 2 * sim._BATCH * 8, 8 * 512
         run(few)
-        assert peak(8 * 512) <= 1.15 * peak(few)
+        run(many)
+        assert peak(many) <= 1.15 * peak(few)
 
     def test_block_peak_is_set_by_its_noise(self, monkeypatch):
         # a batch keeps its noise and one step of state; nothing else in
@@ -494,11 +498,9 @@ class TestBlockPool:
     @pytest.mark.parametrize("sysm, cfg, seed, error, message", [
         (EXAMPLE, SchedulerConfig(thresholds=[1.0], arrival_prob=0.5), 1,
          ValueError, "scheduler has 1 thresholds"),
-        (dataclasses.replace(EXAMPLE, R=[[1.0, 0.5], [0.5, 1.0]]), example_cfg(), 1,
-         ValueError, "R must be diagonal"),
         (EXAMPLE, example_cfg(), -1, ValueError, "expected non-negative integer"),
         (EXAMPLE, example_cfg(), 1.5, TypeError, "cannot be interpreted as an integer"),
-    ], ids=["slot-count", "correlated-R", "negative-seed", "float-seed"])
+    ], ids=["slot-count", "negative-seed", "float-seed"])
     def test_pre_draw_errors_raised_before_any_worker_starts(
             self, monkeypatch, sysm, cfg, seed, error, message):
         def no_fork():
@@ -696,7 +698,7 @@ class TestEngineConsistency:
     def test_whiten_leaves_trajectories_invariant(self):
         cfg = example_cfg(threshold=1.0)
         r1 = simulate_trial(EXAMPLE, cfg, 500, seed=77)
-        r2 = simulate_trial(whiten(EXAMPLE), cfg, 500, seed=77)
+        r2 = simulate_trial(unit_noise(EXAMPLE), cfg, 500, seed=77)
         assert np.array_equal(r1.high_power, r2.high_power)
         assert np.array_equal(r1.arrived, r2.arrived)
         assert np.max(np.abs(r1.covariances - r2.covariances)) <= 1e-9
@@ -859,8 +861,7 @@ class TestIdleGuard:
         assert calls.tolist() == [int(k > passed[0]) for k in range(31)]
 
     def test_bound_is_minus_inf_where_nothing_is_proved(self):
-        correlated = dataclasses.replace(DENSE_N3_M2, R=[[1.0, 0.3], [0.3, 1.0]])
-        for sysm in (SINGULAR_Q, OVERFLOWING, correlated):
+        for sysm in (SINGULAR_Q, OVERFLOWING):
             assert sysm._guard_idle_trace == -np.inf
         # with A = 0 every step starts from Q, whatever P was
         assert dataclasses.replace(TINY_Q, A=np.zeros((2, 2)))._guard_idle_trace == np.inf
@@ -1080,20 +1081,3 @@ class TestRecordShape:
         bad_cfg = SchedulerConfig(thresholds=[1.0], arrival_prob=0.5)
         with pytest.raises(ValueError):
             simulate_trial(EXAMPLE, bad_cfg, 10, seed=1)
-
-    def test_non_diagonal_r_rejected_before_any_draw(self, monkeypatch):
-        # the slot updates read only diag(R), so a full R would be drawn
-        # in full but filtered as if diagonal
-        sysm = LinearSystem(A=[[0.9]], C=[[1.0], [1.0]], Q=[[1.0]],
-                            R=[[1.0, 0.95], [0.95, 1.0]], x0_mean=[0.0],
-                            P0=[[1.0]])
-        cfg = SchedulerConfig(thresholds=[0.0, 0.0], arrival_prob=0.5)
-
-        def no_draws(*args, **kwargs):
-            raise AssertionError("noise drawn for a non-diagonal R")
-
-        monkeypatch.setattr(np.random, "default_rng", no_draws)
-        with pytest.raises(ValueError, match="R must be diagonal"):
-            simulate_trial(sysm, cfg, 50, seed=1)
-        with pytest.raises(ValueError, match="R must be diagonal"):
-            monte_carlo(sysm, cfg, 50, trials=20, master_seed=1)
