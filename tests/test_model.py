@@ -75,15 +75,9 @@ class TestConstruction:
 
     def test_correlated_r_rejected(self):
         # slot-by-slot updates equal the batch filter only for a diagonal
-        # R: from P0 = 1, reading diag(R) of this R would give P = 0.392
-        # where the batch filter gives 0.634
+        # R (test_filter's TestStep::test_correlated_r_rejected), so no
+        # system with a correlated R exists: the message gives the entry
         R = np.array([[1.0, 0.95], [0.95, 1.0]])
-        prior = 0.9 ** 2 + 1.0
-        ones = np.ones(2)
-        assert 1.0 / (1.0 / prior + ones @ np.linalg.solve(R, ones)) == \
-            pytest.approx(0.634, abs=1e-3)
-        assert 1.0 / (1.0 / prior + 2.0) == pytest.approx(0.392, abs=1e-3)
-        # so no system with it exists: nothing can filter or draw for it
         with pytest.raises(ValueError, match=r"R must be diagonal.* 9\.500e-01"):
             LinearSystem(A=[[0.9]], C=[[1.0], [1.0]], Q=[[1.0]], R=R,
                          x0_mean=[0.0], P0=[[1.0]])
@@ -170,6 +164,17 @@ class TestValidate:
         rep = validate(example_system())
         assert rep.controllable and rep.observable
         assert rep.ok
+
+    def test_non_diagonal_r_flagged(self):
+        # a correlated R is refused where the system is built, before
+        # validate could see it, so the report's ok reads only the two
+        # structural flags
+        with pytest.raises(ValueError, match="R must be diagonal"):
+            LinearSystem(A=[[1.0]], C=[[1.0], [1.0]], Q=[[1.0]],
+                         R=[[1.0, 0.3], [0.3, 1.0]], x0_mean=[0.0], P0=[[1.0]])
+        rep = validate(example_system())
+        assert not hasattr(rep, "r_diagonal")
+        assert rep.ok == (rep.controllable and rep.observable)
 
     def test_zero_process_noise_is_uncontrollable(self):
         sysm = LinearSystem(A=[[0.0]], C=[[1.0]], Q=[[0.0]], R=[[1.0]],

@@ -495,14 +495,18 @@ class TestBlockPool:
     """The block runner: the caller and the children it forks, one process
     per usable core."""
 
-    @pytest.mark.parametrize("sysm, cfg, seed, error, message", [
-        (EXAMPLE, SchedulerConfig(thresholds=[1.0], arrival_prob=0.5), 1,
+    @pytest.mark.parametrize("make_system, cfg, seed, error, message", [
+        (lambda: EXAMPLE, SchedulerConfig(thresholds=[1.0], arrival_prob=0.5), 1,
          ValueError, "scheduler has 1 thresholds"),
-        (EXAMPLE, example_cfg(), -1, ValueError, "expected non-negative integer"),
-        (EXAMPLE, example_cfg(), 1.5, TypeError, "cannot be interpreted as an integer"),
-    ], ids=["slot-count", "negative-seed", "float-seed"])
+        # built inside the call, where it stops at construction
+        (lambda: dataclasses.replace(EXAMPLE, R=[[1.0, 0.5], [0.5, 1.0]]),
+         example_cfg(), 1, ValueError, "R must be diagonal"),
+        (lambda: EXAMPLE, example_cfg(), -1, ValueError, "expected non-negative integer"),
+        (lambda: EXAMPLE, example_cfg(), 1.5, TypeError,
+         "cannot be interpreted as an integer"),
+    ], ids=["slot-count", "correlated-R", "negative-seed", "float-seed"])
     def test_pre_draw_errors_raised_before_any_worker_starts(
-            self, monkeypatch, sysm, cfg, seed, error, message):
+            self, monkeypatch, make_system, cfg, seed, error, message):
         def no_fork():
             raise AssertionError("a child was forked for an invalid experiment")
 
@@ -510,10 +514,10 @@ class TestBlockPool:
         monkeypatch.setattr(sim, "_usable_cores", lambda: 2)
         monkeypatch.setattr(os, "fork", no_fork)
         with pytest.raises(error, match=message) as raised:
-            monte_carlo(sysm, cfg, 10, trials=40, master_seed=seed)
+            monte_carlo(make_system(), cfg, 10, trials=40, master_seed=seed)
         # the type and message a block itself raises
         with pytest.raises(error) as alone:
-            sim._block_partials(sysm, cfg, 10, seed, [range(0, 8)])
+            sim._block_partials(make_system(), cfg, 10, seed, [range(0, 8)])
         assert str(raised.value) == str(alone.value)
 
     def test_one_process_forks_nothing(self, monkeypatch):
@@ -1081,3 +1085,18 @@ class TestRecordShape:
         bad_cfg = SchedulerConfig(thresholds=[1.0], arrival_prob=0.5)
         with pytest.raises(ValueError):
             simulate_trial(EXAMPLE, bad_cfg, 10, seed=1)
+
+    def test_non_diagonal_r_rejected_before_any_draw(self, monkeypatch):
+        # the slot updates read only diag(R), so a full R would be drawn
+        # in full but filtered as if diagonal; it stops where the system
+        # is built, so neither engine can be handed one
+        def no_draws(*args, **kwargs):
+            raise AssertionError("noise drawn for a non-diagonal R")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draws)
+        with pytest.raises(ValueError, match="R must be diagonal"):
+            LinearSystem(A=[[0.9]], C=[[1.0], [1.0]], Q=[[1.0]],
+                         R=[[1.0, 0.95], [0.95, 1.0]], x0_mean=[0.0], P0=[[1.0]])
+        with pytest.raises(ValueError, match="R must be diagonal"):
+            LinearSystem.from_dict({**EXAMPLE.to_dict(),
+                                    "R": [[0.1, 0.05], [0.05, 1.0]]})
